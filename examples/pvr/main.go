@@ -117,7 +117,7 @@ func main() {
 	// A month in: defragment online and weigh the cost against the win.
 	before := frag.Analyze(store).MeanFragments()
 	t0 := store.Clock().Seconds()
-	repDefrag := store.Volume().Defragment(0)
+	repDefrag := store.Volume().CompactPass(0)
 	defragCost := store.Clock().Seconds() - t0
 	after := frag.Analyze(store).MeanFragments()
 	fmt.Printf("\ndefragmenter: %d files moved, %s rewritten, %.1f -> %.1f fragments/show, %.1f virtual seconds spent\n",

@@ -1,12 +1,14 @@
 // Package lockorder enforces the stripe/force ordering invariant: a
 // blob.KeyLocks stripe must never be held across a call that can reach
 // the group-commit force. The committer's Do blocks the caller until
-// its batch's one group force is issued, and the apply closures inside
-// that batch re-acquire key stripes (core's commitApply takes the
-// key's stripe lock). A caller entering Do while holding a stripe
-// therefore deadlocks as soon as its batch contains a commit for a key
-// on the same stripe — a 1-in-stripes chance per batch that soak runs
-// hit and unit tests do not.
+// its batch's one group force is issued. Should any apply closure in
+// that batch take a stripe of the same KeyLocks, a caller entering Do
+// while holding a stripe deadlocks as soon as its batch contains work
+// for a key on that stripe — a 1-in-stripes chance per batch that soak
+// runs hit and unit tests do not. No commit pipeline takes a stripe
+// today (the core stores serialize on one store mutex), so every held
+// region that reaches a force must say, in an ignore, why the stripes
+// it holds cannot be the ones a batch would wait on.
 //
 // The analyzer tracks, per statement list, the region between a
 // KeyLocks Lock/RLock and its Unlock/RUnlock (a deferred Unlock holds

@@ -1,7 +1,6 @@
 package blob
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/disk"
@@ -21,7 +20,6 @@ func TestOptionsCompose(t *testing.T) {
 		WithoutOwnerMap(),
 		WithFullLogging(),
 		WithGhostHorizon(4),
-		WithLockStripes(128),
 	)
 	if o.Capacity != 1<<30 || o.DiskMode != disk.DataMode {
 		t.Fatalf("capacity/mode: %+v", o)
@@ -38,38 +36,13 @@ func TestOptionsCompose(t *testing.T) {
 	if !o.NoOwnerMap || !o.FullLogging || o.GhostHorizon != 4 {
 		t.Fatalf("backend knobs: %+v", o)
 	}
-	if o.LockStripes != 128 {
-		t.Fatalf("lock stripes: %+v", o)
-	}
 	if zero := NewOptions(); zero != (Options{}) {
 		t.Fatalf("no options must yield the zero value: %+v", zero)
 	}
 }
 
-func TestNewKeyLocksValidation(t *testing.T) {
-	// 0 takes the default; powers of two are accepted as given.
-	for n, want := range map[int]int{0: DefaultKeyStripes, 1: 1, 2: 2, 64: 64, 1024: 1024} {
-		kl, err := NewKeyLocks(n)
-		if err != nil {
-			t.Fatalf("NewKeyLocks(%d): %v", n, err)
-		}
-		if kl.Stripes() != want {
-			t.Fatalf("NewKeyLocks(%d).Stripes() = %d, want %d", n, kl.Stripes(), want)
-		}
-	}
-	// Everything else is refused with the typed sentinel.
-	for _, n := range []int{-1, -64, 3, 6, 100} {
-		if _, err := NewKeyLocks(n); !errors.Is(err, ErrBadStripeCount) {
-			t.Fatalf("NewKeyLocks(%d) = %v, want ErrBadStripeCount", n, err)
-		}
-	}
-}
-
 func TestKeyLocksStableStripes(t *testing.T) {
-	kl, err := NewKeyLocks(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var kl KeyLocks
 	// The same key must always land on the same stripe.
 	for _, key := range []string{"", "a", "obj-00000001", "album-003/img-0001.jpg"} {
 		if kl.stripe(key) != kl.stripe(key) {
@@ -77,7 +50,7 @@ func TestKeyLocksStableStripes(t *testing.T) {
 		}
 	}
 	// Many keys must spread over more than one stripe.
-	seen := map[*paddedRWMutex]bool{}
+	seen := map[*paddedMutex]bool{}
 	for _, key := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
 		seen[kl.stripe(key)] = true
 	}
@@ -87,10 +60,7 @@ func TestKeyLocksStableStripes(t *testing.T) {
 }
 
 func TestKeyLocksExcludeSameKey(t *testing.T) {
-	kl, err := NewKeyLocks(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var kl KeyLocks
 	kl.Lock("k")
 	acquired := make(chan struct{})
 	go func() {

@@ -234,8 +234,9 @@ func testRangedReads(t *testing.T, mk Factory) {
 }
 
 // testReaderPinnedToVersion pins that a Reader serves only the version
-// it opened: after a replace or delete, reads fail with ErrNotFound on
-// both backends rather than silently serving different bytes.
+// it opened: after a replace, a delete, or a delete and re-create at the
+// same size, reads fail with ErrNotFound on every backend rather than
+// silently serving different bytes.
 func testReaderPinnedToVersion(t *testing.T, mk Factory) {
 	ctx := context.Background()
 	s := mk(blob.WithCapacity(128*units.MB), blob.WithDiskMode(disk.DataMode))
@@ -268,6 +269,17 @@ func testReaderPinnedToVersion(t *testing.T, mk Factory) {
 	}
 	if _, err := r2.ReadAll(); !errors.Is(err, blob.ErrNotFound) {
 		t.Fatalf("ReadAll across delete = %v, want ErrNotFound", err)
+	}
+	// A new object under the same key and size is still a different
+	// version: the stale reader must not resurrect onto it.
+	if err := blob.Put(ctx, s, "a", r2.Size(), payload(r2.Size())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.ReadAll(); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("ReadAll across delete and re-create = %v, want ErrNotFound", err)
+	}
+	if _, err := r2.ReadAt(0, 4*units.KB); !errors.Is(err, blob.ErrNotFound) {
+		t.Fatalf("ReadAt across delete and re-create = %v, want ErrNotFound", err)
 	}
 }
 

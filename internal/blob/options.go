@@ -61,12 +61,6 @@ type Options struct {
 	// horizon in committed operations; 0 takes the engine default.
 	GhostHorizon int
 
-	// LockStripes is the per-key striped-lock shard count, validated by
-	// NewKeyLocks at store construction: 0 takes DefaultKeyStripes, any
-	// other value must be a positive power of two (ErrBadStripeCount
-	// otherwise). More stripes reduce false sharing between hot keys.
-	LockStripes int
-
 	// GroupCommitBatch is the largest number of commits the store's
 	// group-commit pipeline coalesces into one backend force. 0 or 1
 	// commits synchronously (no pipeline); set via WithGroupCommit.
@@ -170,14 +164,6 @@ func WithFullLogging() Option {
 // horizon.
 func WithGhostHorizon(ops int) Option {
 	return func(o *Options) { o.GhostHorizon = ops }
-}
-
-// WithLockStripes sets the per-key striped-lock shard count. The value
-// must be a positive power of two: NewKeyLocks reports anything else as
-// ErrBadStripeCount, which the store constructors wrap in ErrBadOption
-// and return.
-func WithLockStripes(n int) Option {
-	return func(o *Options) { o.LockStripes = n }
 }
 
 // WithGroupCommit enables the asynchronous group-commit pipeline:

@@ -1,67 +1,39 @@
 package blob
 
 import (
-	"fmt"
 	"sync"
 	"unsafe"
 )
 
-// DefaultKeyStripes is the stripe count a KeyLocks gets when the
-// WithLockStripes option is absent. Power of two so the hash folds with
-// a mask.
-const DefaultKeyStripes = 64
+// keyStripes is the number of stripes in a KeyLocks. Power of two so
+// the hash folds with a mask.
+const keyStripes = 64
 
-// KeyLocks is a striped per-key reader/writer lock: keys hash onto a
-// fixed array of RWMutexes, giving per-key mutual exclusion without a
-// lock per live object. Both store backends order same-key operations
-// through the key's stripe. Today the stores also hold a store-level
-// mutex around every engine call (the simulation engines are
-// single-threaded), so the stripes buy ordering rather than
-// parallelism; they are the seam package shard parallelizes across,
-// where each shard owns its own engine.
+// KeyLocks is a striped per-key lock: keys hash onto a fixed array of
+// mutexes, giving per-key mutual exclusion without a lock per live
+// object. Package shard orders same-key mutations through it; the core
+// stores need none, since one store mutex already serializes their
+// single-threaded engines.
 //
 // Locks are held for the duration of one store call, never across a
 // Reader's or Writer's lifetime, so callers cannot deadlock themselves
-// by interleaving handles.
-//
-// Build a KeyLocks with NewKeyLocks; the zero value has no stripes and
-// must not be used.
+// by interleaving handles. The zero value is ready to use.
 type KeyLocks struct {
-	stripes []paddedRWMutex
-	mask    uint64
+	stripes [keyStripes]paddedMutex
 }
 
-// paddedRWMutex gives each stripe its own cache line: with hundreds of
-// streams hashing across the array, adjacent stripes packed 24 bytes
+// paddedMutex gives each stripe its own cache line: with hundreds of
+// streams hashing across the array, adjacent stripes packed 8 bytes
 // apart would false-share every lock word.
-type paddedRWMutex struct {
-	sync.RWMutex
-	_ [64 - unsafe.Sizeof(sync.RWMutex{})%64]byte
+type paddedMutex struct {
+	sync.Mutex
+	_ [64 - unsafe.Sizeof(sync.Mutex{})%64]byte
 }
-
-// NewKeyLocks builds a KeyLocks with the given stripe count. A count of
-// 0 takes DefaultKeyStripes; anything else must be a positive power of
-// two or the constructor fails with ErrBadStripeCount.
-func NewKeyLocks(stripes int) (*KeyLocks, error) {
-	if stripes == 0 {
-		stripes = DefaultKeyStripes
-	}
-	if stripes < 1 || stripes&(stripes-1) != 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadStripeCount, stripes)
-	}
-	return &KeyLocks{
-		stripes: make([]paddedRWMutex, stripes),
-		mask:    uint64(stripes - 1),
-	}, nil
-}
-
-// Stripes returns the stripe count.
-func (kl *KeyLocks) Stripes() int { return len(kl.stripes) }
 
 // stripe returns the lock shard for key (FNV-1a, folded to the stripe
 // count).
-func (kl *KeyLocks) stripe(key string) *paddedRWMutex {
-	return &kl.stripes[fnv1a(key)&kl.mask]
+func (kl *KeyLocks) stripe(key string) *paddedMutex {
+	return &kl.stripes[fnv1a(key)&(keyStripes-1)]
 }
 
 // fnv1a hashes s with 64-bit FNV-1a.
@@ -78,14 +50,8 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// Lock acquires key's stripe exclusively.
+// Lock acquires key's stripe.
 func (kl *KeyLocks) Lock(key string) { kl.stripe(key).Lock() }
 
-// Unlock releases key's exclusive stripe lock.
+// Unlock releases key's stripe.
 func (kl *KeyLocks) Unlock(key string) { kl.stripe(key).Unlock() }
-
-// RLock acquires key's stripe shared.
-func (kl *KeyLocks) RLock(key string) { kl.stripe(key).RLock() }
-
-// RUnlock releases key's shared stripe lock.
-func (kl *KeyLocks) RUnlock(key string) { kl.stripe(key).RUnlock() }

@@ -28,34 +28,21 @@ import (
 // could not be placed. A key with an uncommitted writer fails with
 // blob.ErrBusy so the compactor can skip and retry later.
 func (s *FileStore) CompactObject(ctx context.Context, key string) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var moved int64
-	err := s.committer.Do(func() error {
-		s.locks.Lock(key)
-		defer s.locks.Unlock(key)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.inflight[key] {
-			return fmt.Errorf("%w: writer in flight on %s", blob.ErrBusy, key)
-		}
+	return s.rewrite(ctx, key, func() (int64, error) {
 		if _, ok := s.vol.Lookup(key); !ok || s.inflightTemp(key) {
-			return fmt.Errorf("%w: %s", blob.ErrNotFound, key)
+			return 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 		}
 		n, ok := s.vol.CompactFile(key)
 		if !ok {
-			return nil
+			return 0, nil
 		}
 		// The relocation is a row update in the metadata database — the
 		// isolation from physical location the paper's design buys.
 		if err := s.meta.Update(key); err != nil {
-			return err
+			return 0, err
 		}
-		moved = n
-		return nil
+		return n, nil
 	})
-	return moved, err
 }
 
 // PackObjects coalesces the given small objects into one pack extent,
@@ -112,31 +99,9 @@ func (s *FileStore) ArmPackCrash() {
 // CompactObject rewrites key's BLOB through the engine's re-append
 // compaction, forcing the commit record through the group-commit
 // pipeline. It returns the bytes moved (0 when already contiguous); a
-// key with an uncommitted writer fails with blob.ErrBusy.
+// key with an uncommitted writer fails with blob.ErrBusy. The rewrite
+// is a new version: the engine stamps a fresh tag, so readers pinned to
+// the old one fail typed, exactly as after a Replace.
 func (s *DBStore) CompactObject(ctx context.Context, key string) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	var moved int64
-	err := s.committer.Do(func() error {
-		s.locks.Lock(key)
-		defer s.locks.Unlock(key)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.inflight[key] {
-			return fmt.Errorf("%w: writer in flight on %s", blob.ErrBusy, key)
-		}
-		n, err := s.eng.Compact(key)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			// The rewrite is a new version: readers pinned to the old
-			// tag fail typed, exactly as after a Replace.
-			s.tags[key] = s.eng.Tag(key)
-		}
-		moved = n
-		return nil
-	})
-	return moved, err
+	return s.rewrite(ctx, key, func() (int64, error) { return s.eng.Compact(key) })
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/blob"
 	"repro/internal/db"
@@ -29,22 +27,17 @@ import (
 // volume's metadata (coalesced MFT writes, one log flush) and the
 // metadata database's log once instead of per commit.
 //
-// The store is safe for concurrent callers: per-key striped locks order
-// operations on the same key, and an internal mutex serializes access to
-// the single-threaded volume and metadata engines beneath.
+// The store is safe for concurrent callers: one store mutex serializes
+// access to the single-threaded volume and metadata engines beneath.
 type FileStore struct {
+	store
+
 	vol    *fs.Volume
 	meta   *db.MetaTable
 	metaDB *db.Database
-	clock  *vclock.Clock
 	opts   blob.Options
 
-	locks     *blob.KeyLocks
-	committer *blob.GroupCommitter
-
-	mu        sync.Mutex // guards vol, meta, liveBytes, inflight, crashes
-	liveBytes int64
-	inflight  map[string]bool // keys with an uncommitted writer
+	// Guarded by store.mu.
 	crashes   map[string]bool // keys armed to crash at the next commit
 	packCrash bool            // next PackObjects crashes mid-pack
 }
@@ -63,70 +56,36 @@ func NewFileStore(clock *vclock.Clock, options ...blob.Option) (*FileStore, erro
 	if opts.MetaCapacity == 0 {
 		opts.MetaCapacity = 1 * units.GB
 	}
-	locks, err := blob.NewKeyLocks(opts.LockStripes)
-	if err != nil {
-		return nil, fmt.Errorf("core: NewFileStore: %w: %w", blob.ErrBadOption, err)
-	}
-	geo := disk.DefaultGeometry(opts.Capacity)
-	if opts.Geometry != nil {
-		geo = *opts.Geometry
-	}
-	var diskOpts []disk.Option
-	if opts.NoOwnerMap {
-		diskOpts = append(diskOpts, disk.WithoutOwnerMap())
-	}
-	dataDrive := disk.New(geo, clock, opts.DiskMode, diskOpts...)
-	vol := fs.Format(dataDrive, fs.Config{DelayedAllocation: opts.DelayedAllocation})
+	vol := fs.Format(dataDrive(clock, opts), fs.Config{DelayedAllocation: opts.DelayedAllocation})
 	// Metadata database on its own drive pair, as the paper's deployment
 	// gave SQL Server dedicated drives (§4.1).
 	metaData := disk.New(disk.DefaultGeometry(opts.MetaCapacity), clock, disk.MetadataMode)
 	metaLog := disk.New(disk.DefaultGeometry(256*units.MB), clock, disk.MetadataMode)
 	metaDB := db.Open(metaData, metaLog, db.Config{})
 	s := &FileStore{
-		vol:      vol,
-		meta:     metaDB.NewMetaTable("objects"),
-		metaDB:   metaDB,
-		clock:    clock,
-		opts:     opts,
-		locks:    locks,
-		inflight: make(map[string]bool),
-		crashes:  make(map[string]bool),
+		vol:     vol,
+		meta:    metaDB.NewMetaTable("objects"),
+		metaDB:  metaDB,
+		opts:    opts,
+		crashes: make(map[string]bool),
 	}
-	s.committer = blob.NewGroupCommitter(opts.GroupCommitBatch, opts.GroupCommitDelay,
-		s.beginGroup, s.endGroup)
-	if opts.CommitObserver != nil {
-		s.committer.SetObserver(clock, opts.CommitObserver)
-	}
+	s.init(clock, opts, s, s.beginGroup, s.endGroup)
 	return s, nil
 }
 
 // beginGroup opens a batch on both engines: the volume defers MFT
 // writes and its log flush, the metadata database defers log forces.
 func (s *FileStore) beginGroup() {
-	s.mu.Lock()
 	s.vol.BeginBatch()
 	s.metaDB.BeginGroup()
-	s.mu.Unlock()
 }
 
 // endGroup issues the group force: coalesced MFT writes plus at most
 // one volume log flush, and one metadata-database log write.
 func (s *FileStore) endGroup() {
-	s.mu.Lock()
 	s.vol.EndBatch()
 	s.metaDB.EndGroup()
-	s.mu.Unlock()
 }
-
-// Close shuts down the group-commit pipeline. The store stays usable;
-// later commits apply synchronously.
-func (s *FileStore) Close() error {
-	s.committer.Close()
-	return nil
-}
-
-// CommitStats returns the group-commit pipeline counters.
-func (s *FileStore) CommitStats() blob.CommitStats { return s.committer.Stats() }
 
 // ArmCommitCrash makes key's next Commit crash after its data is
 // written and forced but before the atomic rename — the safe-write
@@ -161,132 +120,13 @@ func (s *FileStore) Name() string { return "filesystem" }
 // Volume exposes the underlying filesystem for analysis tools.
 func (s *FileStore) Volume() *fs.Volume { return s.vol }
 
-// Clock implements blob.Store.
-func (s *FileStore) Clock() *vclock.Clock { return s.clock }
-
-// Open implements blob.Store.
-func (s *FileStore) Open(ctx context.Context, key string) (blob.Reader, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// stage implements layout: the existence check and the safe-write temp
+// file.
+func (s *FileStore) stage(w *writer) error {
+	if _, exists := s.vol.Lookup(w.key); exists && !w.replace {
+		return fmt.Errorf("%w: %s", blob.ErrAlreadyExists, w.key)
 	}
-	s.locks.RLock(key)
-	defer s.locks.RUnlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.meta.Lookup(key) {
-		return nil, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
-	}
-	f, err := s.vol.Open(key)
-	if err != nil {
-		return nil, err
-	}
-	r := fileReaderPool.Get().(*fileReader)
-	*r = fileReader{s: s, ctx: ctx, key: key, f: f, tag: f.Tag(), size: f.Size()}
-	return r, nil
-}
-
-// fileReader is a read handle over one committed file version. Handles
-// are pooled: Close retires the handle (it keeps returning ErrClosed
-// until the pool hands it to a new Open). The pinned version is the
-// (pointer, tag) pair — File structs are recycled by the volume, so the
-// pointer alone could be resurrected under the same key.
-type fileReader struct {
-	s      *FileStore
-	ctx    context.Context
-	key    string
-	f      *fs.File
-	tag    uint32
-	size   int64
-	closed bool
-}
-
-// fileReaderPool recycles read handles; at high stream counts the
-// per-read handle allocation was a top-ten allocation site.
-var fileReaderPool = sync.Pool{New: func() any { return new(fileReader) }}
-
-// Size implements blob.Reader.
-func (r *fileReader) Size() int64 { return r.size }
-
-// validate returns the current file iff the handle is live and still
-// names the version opened. Callers hold r.s.mu.
-func (r *fileReader) validate() (*fs.File, error) {
-	if r.closed {
-		return nil, fmt.Errorf("%w: reader for %s", blob.ErrClosed, r.key)
-	}
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	cur, ok := r.s.vol.Lookup(r.key)
-	if !ok || cur != r.f || cur.Tag() != r.tag {
-		return nil, fmt.Errorf("%w: %s (version replaced or deleted)", blob.ErrNotFound, r.key)
-	}
-	return cur, nil
-}
-
-// ReadAll implements blob.Reader.
-func (r *fileReader) ReadAll() ([]byte, error) {
-	r.s.locks.RLock(r.key)
-	defer r.s.locks.RUnlock(r.key)
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	f, err := r.validate()
-	if err != nil {
-		return nil, err
-	}
-	return f.ReadAll(), nil
-}
-
-// ReadAt implements blob.Reader.
-func (r *fileReader) ReadAt(off, length int64) ([]byte, error) {
-	r.s.locks.RLock(r.key)
-	defer r.s.locks.RUnlock(r.key)
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	f, err := r.validate()
-	if err != nil {
-		return nil, err
-	}
-	return f.ReadAt(off, length)
-}
-
-// Close implements blob.Reader. The first Close retires the handle to
-// the pool; later Closes on the same handle are no-ops.
-func (r *fileReader) Close() error {
-	if !r.closed {
-		r.closed = true
-		fileReaderPool.Put(r)
-	}
-	return nil
-}
-
-// Create implements blob.Store.
-func (s *FileStore) Create(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return s.newWriter(ctx, key, size, false)
-}
-
-// Replace implements blob.Store: a streaming safe write (§4).
-func (s *FileStore) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
-	return s.newWriter(ctx, key, size, true)
-}
-
-func (s *FileStore) newWriter(ctx context.Context, key string, size int64, replace bool) (blob.Writer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("%w: write of %d bytes to %s", blob.ErrInvalidSize, size, key)
-	}
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inflight[key] {
-		return nil, fmt.Errorf("%w: %s", blob.ErrBusy, key)
-	}
-	if _, exists := s.vol.Lookup(key); exists && !replace {
-		return nil, fmt.Errorf("%w: %s", blob.ErrAlreadyExists, key)
-	}
-	tmp := fs.TempName(key)
+	tmp := fs.TempName(w.key)
 	// A leftover temp from a previous crashed attempt is replaced.
 	// Committed objects always have a metadata row and temps never do,
 	// so a row under the temp name means a real object happens to be
@@ -294,70 +134,28 @@ func (s *FileStore) newWriter(ctx context.Context, key string, size int64, repla
 	// then fails instead of destroying it).
 	if _, ok := s.vol.Lookup(tmp); ok && !s.meta.Lookup(tmp) {
 		if err := s.vol.Delete(tmp); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	f, err := s.vol.Create(tmp)
 	if err != nil {
-		return nil, err
-	}
-	if s.opts.SizeHint {
-		if err := f.SetSizeHint(size); err != nil {
-			_ = s.vol.Delete(tmp)
-			return nil, err
-		}
-	}
-	s.inflight[key] = true
-	w := fileWriterPool.Get().(*fileWriter)
-	apply := w.apply
-	*w = fileWriter{s: s, ctx: ctx, key: key, tmp: tmp, f: f,
-		state: blob.NewStreamState(key, size), size: size, replace: replace}
-	if apply == nil {
-		// Bind the commit closure once per pooled instance; the method
-		// value pins w itself, so it stays correct across reuses and
-		// saves a closure allocation per commit.
-		apply = w.commitApply
-	}
-	w.apply = apply
-	return w, nil
-}
-
-// fileWriter streams one safe write: appends land in a temp file in
-// request-sized chunks; Commit closes (forcing the data) and atomically
-// renames over the permanent file. Writers are pooled: a successful
-// Commit or an Abort retires the handle (its stream state stays closed
-// until the pool hands it to a new Create/Replace).
-type fileWriter struct {
-	s       *FileStore
-	ctx     context.Context
-	key     string
-	tmp     string
-	f       *fs.File
-	state   blob.StreamState
-	size    int64 // declared total
-	replace bool
-	apply   func() error // cached commitApply method value
-}
-
-// fileWriterPool recycles write handles across safe writes.
-var fileWriterPool = sync.Pool{New: func() any { return new(fileWriter) }}
-
-// retire returns a finished (committed or aborted) writer to the pool.
-func (w *fileWriter) retire() {
-	apply := w.apply
-	*w = fileWriter{apply: apply}
-	w.state.Close()
-	fileWriterPool.Put(w)
-}
-
-// Append implements blob.Writer.
-func (w *fileWriter) Append(n int64, data []byte) error {
-	if err := w.state.BeginAppend(w.ctx, n, data); err != nil {
 		return err
 	}
-	// Each write request reaches the allocator separately — the paper's
-	// §5.3 request granularity, now owned by the store.
-	req := w.s.opts.WriteRequestSize
+	if s.opts.SizeHint {
+		if err := f.SetSizeHint(w.size); err != nil {
+			_ = s.vol.Delete(tmp)
+			return err
+		}
+	}
+	w.f = f
+	return nil
+}
+
+// append implements layout: each write request reaches the allocator
+// separately — the paper's §5.3 request granularity, owned by the
+// store.
+func (s *FileStore) append(w *writer, n int64, data []byte) error {
+	req := s.opts.WriteRequestSize
 	if req <= 0 {
 		req = n
 	}
@@ -370,11 +168,9 @@ func (w *fileWriter) Append(n int64, data []byte) error {
 		if data != nil {
 			chunk = data[off : off+c]
 		}
-		w.s.locks.Lock(w.key)
-		w.s.mu.Lock()
+		s.mu.Lock()
 		err := w.f.Append(c, chunk)
-		w.s.mu.Unlock()
-		w.s.locks.Unlock(w.key)
+		s.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -383,52 +179,23 @@ func (w *fileWriter) Append(n int64, data []byte) error {
 	return nil
 }
 
-// Write implements io.Writer over Append.
-func (w *fileWriter) Write(p []byte) (int, error) {
-	if err := w.Append(int64(len(p)), p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// Commit implements blob.Writer: the atomic publish point. The commit
-// rides the store's group-commit pipeline — with batching enabled it
-// waits in the commit queue and shares one metadata force with the rest
-// of its batch; the error that comes back is this writer's own.
-func (w *fileWriter) Commit() error {
-	if err := w.state.BeginCommit(w.ctx); err != nil {
-		return err
-	}
-	err := w.s.committer.Do(w.apply)
-	if err == nil {
-		// Only a fully successful commit retires the handle: after a
-		// failed apply the writer stays open for Abort.
-		w.retire()
-	}
-	return err
-}
-
-// commitApply performs the publish work of one safe-write commit, with
-// the per-commit metadata forces deferred to the surrounding batch.
-func (w *fileWriter) commitApply() error {
-	w.s.locks.Lock(w.key)
-	defer w.s.locks.Unlock(w.key)
-	w.s.mu.Lock()
-	defer w.s.mu.Unlock()
+// publish implements layout: force the temp file, write the metadata
+// row, and rename over the permanent file.
+func (s *FileStore) publish(w *writer) (int64, bool, error) {
 	// Close forces the data (and performs allocation under delayed
 	// allocation — the one step that can still run out of space).
 	if err := w.f.Close(); err != nil {
-		return err
+		return 0, false, err
 	}
-	if w.s.crashes[w.key] {
+	if s.crashes[w.key] {
 		// Armed simulated crash at the CrashAfterWrite protocol point:
 		// data forced, rename never happens. The temp file and writer
 		// claim stay behind for Recover to sweep, exactly as if the
 		// process had died here.
-		delete(w.s.crashes, w.key)
-		return fmt.Errorf("%w after write of %s", blob.ErrCrashed, w.tmp)
+		delete(s.crashes, w.key)
+		return 0, false, fmt.Errorf("%w after write of %s", blob.ErrCrashed, w.f.Name())
 	}
-	old, hadOld := w.s.vol.Lookup(w.key)
+	old, hadOld := s.vol.Lookup(w.key)
 	var oldSize int64
 	if hadOld {
 		oldSize = old.Size()
@@ -437,94 +204,93 @@ func (w *fileWriter) commitApply() error {
 	// drive full), so it happens before anything becomes visible. On a
 	// failure the writer stays open and Abort discards the temp.
 	if hadOld {
-		if err := w.s.meta.Update(w.key); err != nil {
-			return err
+		if err := s.meta.Update(w.key); err != nil {
+			return 0, false, err
 		}
 	} else {
-		if err := w.s.meta.Insert(w.key); err != nil {
-			return err
+		if err := s.meta.Insert(w.key); err != nil {
+			return 0, false, err
 		}
 	}
 	// Atomic commit point (ReplaceFile/rename(2) semantics). Rename of
 	// a held temp cannot legitimately fail; roll the row back if it
 	// somehow does — the synchronization burden §3.1 calls out.
-	if err := w.s.vol.Rename(w.tmp, w.key); err != nil {
+	if err := s.vol.Rename(w.f.Name(), w.key); err != nil {
 		if !hadOld {
-			_ = w.s.meta.Delete(w.key)
+			_ = s.meta.Delete(w.key)
 		}
-		return err
+		return 0, false, err
 	}
-	if hadOld {
-		w.s.liveBytes -= oldSize
-	}
-	w.s.liveBytes += w.size
-	delete(w.s.inflight, w.key)
-	w.state.Close()
-	return nil
+	return oldSize, hadOld, nil
 }
 
-// Abort implements blob.Writer: the previous version is untouched.
-func (w *fileWriter) Abort() error {
-	if w.state.Closed() {
-		return nil
+// discard implements layout: delete the temp file if it survives. The
+// name is derived from the key rather than w.f, which Recover may have
+// swept and the volume recycled.
+func (s *FileStore) discard(w *writer) {
+	tmp := fs.TempName(w.key)
+	if _, ok := s.vol.Lookup(tmp); ok {
+		_ = s.vol.Delete(tmp)
 	}
-	w.s.locks.Lock(w.key)
-	defer w.s.locks.Unlock(w.key)
-	w.s.mu.Lock()
-	defer w.s.mu.Unlock()
-	if _, ok := w.s.vol.Lookup(w.tmp); ok {
-		_ = w.s.vol.Delete(w.tmp)
-	}
-	delete(w.s.inflight, w.key)
-	w.state.Close()
-	w.retire()
-	return nil
 }
 
-// Delete implements blob.Store.
-func (s *FileStore) Delete(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// open implements layout: the metadata row lookup, then the file open.
+func (s *FileStore) open(key string) (int64, uint32, error) {
+	if !s.meta.Lookup(key) {
+		return 0, 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	f, err := s.vol.Open(key)
+	if err != nil {
+		return 0, 0, err
+	}
+	return f.Size(), f.Tag(), nil
+}
+
+// tag implements layout. File tags come from the volume's monotonic
+// counter, and a recycled File always gets a fresh one.
+func (s *FileStore) tag(key string) uint32 {
+	if f, ok := s.vol.Lookup(key); ok {
+		return f.Tag()
+	}
+	return 0
+}
+
+// read implements layout.
+func (s *FileStore) read(key string, all bool, off, length int64) ([]byte, error) {
+	f, _ := s.vol.Lookup(key)
+	if all {
+		return f.ReadAll(), nil
+	}
+	return f.ReadAt(off, length)
+}
+
+// stat implements layout.
+func (s *FileStore) stat(key string) (int64, error) {
 	f, ok := s.vol.Lookup(key)
 	if !ok {
-		return fmt.Errorf("%w: %s", blob.ErrNotFound, key)
+		return 0, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
 	}
-	size := f.Size()
+	return f.Size(), nil
+}
+
+// remove implements layout: the file and its metadata row.
+func (s *FileStore) remove(key string) (int64, error) {
+	size, err := s.stat(key)
+	if err != nil {
+		return 0, err
+	}
 	if err := s.vol.Delete(key); err != nil {
-		return err
+		return 0, err
 	}
 	if err := s.meta.Delete(key); err != nil {
-		return err
+		return 0, err
 	}
-	s.liveBytes -= size
-	return nil
+	return size, nil
 }
 
-// Stat implements blob.Store.
-func (s *FileStore) Stat(ctx context.Context, key string) (blob.Info, error) {
-	if err := ctx.Err(); err != nil {
-		return blob.Info{}, err
-	}
-	s.locks.RLock(key)
-	defer s.locks.RUnlock(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.vol.Lookup(key)
-	if !ok {
-		return blob.Info{}, fmt.Errorf("%w: %s", blob.ErrNotFound, key)
-	}
-	return blob.Info{Key: key, Size: f.Size()}, nil
-}
-
-// Keys implements blob.Store.
-func (s *FileStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// list implements layout: every file but the temps of uncommitted
+// writers.
+func (s *FileStore) list() []string {
 	names := s.vol.Names()
 	out := names[:0]
 	for _, n := range names {
@@ -546,13 +312,6 @@ func (s *FileStore) inflightTemp(name string) bool {
 
 // ObjectCount implements blob.Store.
 func (s *FileStore) ObjectCount() int { return len(s.Keys()) }
-
-// LiveBytes implements blob.Store.
-func (s *FileStore) LiveBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveBytes
-}
 
 // FreeBytes implements blob.Store.
 func (s *FileStore) FreeBytes() int64 {

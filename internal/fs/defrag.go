@@ -25,16 +25,6 @@ type DefragReport struct {
 	BytesMoved      int64
 }
 
-// Defragment performs a partial offline defragmentation pass.
-//
-// Deprecated: Defragment is the retired stop-the-world entry point. It
-// is now a thin wrapper over CompactPass, the same rewrite machinery
-// the online compactor (internal/compact) drives incrementally during
-// live traffic; new code should run a Compactor instead.
-func (v *Volume) Defragment(budgetBytes int64) DefragReport {
-	return v.CompactPass(budgetBytes)
-}
-
 // CompactPass rewrites the worst-fragmented files into contiguous
 // space, most-fragmented first, until budgetBytes of data has been
 // moved (budgetBytes <= 0 means no limit). Files that cannot be placed
@@ -153,7 +143,12 @@ func (v *Volume) ShatterFiles(stripeClusters int64) float64 {
 	}
 	v.FlushLog()
 	var spacers []sfRun
-	for _, f := range v.files {
+	// Visit files in name order: stripes are allocated one file at a
+	// time, so map order would place them differently on every run.
+	names := v.Names()
+	sort.Strings(names)
+	for _, name := range names {
+		f := v.files[name]
 		need := f.allocated
 		if need == 0 {
 			continue

@@ -20,7 +20,7 @@ import (
 // wall-clock operations per second (the simulation's own speed, NOT
 // virtual-time storage throughput) plus ns and allocs per executed op.
 // Regressions here mean shared-state contention — the age tracker, the
-// commit pipeline, the striped locks, the virtual clock — not slower
+// commit pipeline, the store mutex, the virtual clock — not slower
 // simulated hardware.
 func BenchmarkExecutorStreams(b *testing.B) {
 	for _, k := range []int{1, 16, 256} {
