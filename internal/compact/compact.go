@@ -1,14 +1,19 @@
-// Package compact implements online background compaction — the
-// paper's missing chapter. §3.4 warns that defragmentation "imposes
-// read/write performance impacts that can outweigh its benefits" but
-// never measures the tradeoff; this package makes it measurable. A
-// Compactor runs DURING live traffic over any blob.Store-backed engine:
-// it watches per-store fragmentation (the same Snapshot statistic the
+// Package compact implements online compaction — the paper's missing
+// chapter. §3.4 warns that defragmentation "imposes read/write
+// performance impacts that can outweigh its benefits" but never
+// measures the tradeoff; this package makes it measurable. A Compactor
+// runs DURING live traffic over any blob.Store-backed engine: it
+// watches per-store fragmentation (the same Snapshot statistic the
 // shard layer aggregates), rewrites the worst-fragmented objects, and
 // coalesces the small-object tail into pack files — all metered by a
 // duty cycle on the shared virtual clock, so the rewrite traffic's cost
 // is charged against the same throughput numbers it is trying to
 // improve.
+//
+// The compactor has no goroutine of its own. The workload driver calls
+// CatchUp between foreground operations, and each call works
+// synchronously until the duty gate closes, so a seeded run compacts
+// identically every time.
 //
 // The compactor needs no engine-specific hooks: it drives the
 // structural Rewriter and Packer capabilities, which core.FileStore,
@@ -26,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/blob"
 	"repro/internal/frag"
@@ -55,8 +59,8 @@ var ErrUnsupported = errors.New("compact: store does not support object rewrite"
 type Config struct {
 	// DutyCycle is the fraction of virtual time the compactor may
 	// consume, in [0, 1]. The compactor stalls whenever its own charged
-	// virtual time exceeds DutyCycle × elapsed virtual time since Start,
-	// so it only works in the idle windows foreground traffic leaves.
+	// virtual time exceeds DutyCycle × elapsed virtual time since New,
+	// so it only takes its share of the time foreground traffic moves.
 	// 0 disables the compactor; 1 removes the gate.
 	DutyCycle float64
 
@@ -142,28 +146,23 @@ func (s Stats) String() string {
 		s.Packs, s.PackedObjects, units.FormatBytes(s.PackedBytes), s.BusySeconds)
 }
 
-// Compactor is one background compaction worker. Start launches its
-// goroutine; Stop blocks until it drains. The zero duty cycle makes
-// Start a no-op, so a disabled compactor can flow through the same
-// harness code path as an enabled one. Compactor implements
-// workload.Background structurally.
+// Compactor is one online compaction worker. Its duty-cycle account
+// opens when it is built: CatchUp may spend DutyCycle of the virtual
+// time elapsed since New. A zero duty cycle makes CatchUp a no-op, so a
+// disabled compactor can flow through the same harness code path as an
+// enabled one. Compactor implements workload.Background structurally.
 type Compactor struct {
 	exec  Rewriter
 	pack  Packer      // nil when the store cannot pack
 	scan  frag.Source // candidate-selection scope (a shard child in a Fleet)
 	clock *vclock.Clock
 	cfg   Config
-	ctx   context.Context // carried into background-loop cycles
 
 	mu        sync.Mutex
 	stats     Stats
 	busyNs    int64
 	startNs   int64
-	running   bool
 	packTried map[string]bool
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // New builds a compactor over store, scanning and rewriting the whole
@@ -191,7 +190,7 @@ func newScoped(store blob.Store, scan frag.Source, cfg Config) (*Compactor, erro
 		scan:      scan,
 		clock:     store.Clock(),
 		cfg:       cfg.withDefaults(),
-		ctx:       context.Background(),
+		startNs:   store.Clock().Now(),
 		packTried: make(map[string]bool),
 	}
 	if pk, ok := store.(Packer); ok {
@@ -200,53 +199,11 @@ func newScoped(store blob.Store, scan frag.Source, cfg Config) (*Compactor, erro
 	return c, nil
 }
 
-// WithContext sets the context the background loop's rewrites and
-// packs carry, so cancelling it stops in-flight loop work at the next
-// store operation. Call before Start; the default is
-// context.Background().
-func (c *Compactor) WithContext(ctx context.Context) *Compactor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ctx = ctx
-	return c
-}
-
 // Stats returns a snapshot of the compactor's counters.
 func (c *Compactor) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Start launches the background loop. A zero duty cycle (the "off" arm
-// of an experiment) is a no-op. Start/Stop pairs may not overlap.
-func (c *Compactor) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.running || c.cfg.DutyCycle <= 0 {
-		return
-	}
-	c.running = true
-	c.startNs = c.clock.Now()
-	c.busyNs = 0
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	go c.loop(c.ctx, c.stop, c.done)
-}
-
-// Stop halts the background loop and blocks until it drains. Stopping
-// a compactor that is not running is a no-op.
-func (c *Compactor) Stop() {
-	c.mu.Lock()
-	if !c.running {
-		c.mu.Unlock()
-		return
-	}
-	c.running = false
-	stop, done := c.stop, c.done
-	c.mu.Unlock()
-	close(stop)
-	<-done
 }
 
 // RunOnce performs one full scan-and-rewrite cycle synchronously, with
@@ -268,13 +225,14 @@ func (c *Compactor) RunOnce(ctx context.Context) Stats {
 	return after
 }
 
-// CatchUp performs duty-gated work synchronously during a foreground
-// idle window and returns as soon as the gate closes or no work
-// remains. Unlike the background loop it never waits on real time, so
-// a simulation driving virtual time from a single goroutine can give
-// the compactor its duty-cycle share deterministically: each call does
-// at most enough work to bring busy time up to DutyCycle × elapsed
-// virtual time since Start. A zero duty cycle is a no-op.
+// CatchUp performs duty-gated work synchronously in the idle window
+// between two foreground operations and returns as soon as the gate
+// closes, no work remains, or ctx is done. It never waits, so a
+// simulation driving virtual time from a single goroutine gives the
+// compactor its duty-cycle share deterministically: each call does at
+// most enough work to bring busy time up to DutyCycle × elapsed virtual
+// time since New, overshooting by at most one operation. A zero duty
+// cycle is a no-op.
 func (c *Compactor) CatchUp(ctx context.Context) {
 	if c.cfg.DutyCycle <= 0 {
 		return
@@ -286,36 +244,9 @@ func (c *Compactor) CatchUp(ctx context.Context) {
 	}
 }
 
-// loop is the background worker: scan, work, idle, repeat. It carries
-// the WithContext context into every cycle so cancellation reaches the
-// store operations the loop issues.
-func (c *Compactor) loop(ctx context.Context, stop, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			return
-		default:
-		}
-		worked := c.cycle(ctx, func() bool { return c.gate(stop) })
-		if !worked {
-			// Nothing to do right now; wait for foreground traffic to
-			// create work (and advance the virtual clock).
-			select {
-			case <-stop:
-				return
-			//fragvet:ignore vclockpurity idle backoff waits on real time for foreground traffic to advance the virtual clock
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}
-}
-
 // gateOpen reports whether the compactor's charged virtual time fits
-// under DutyCycle × elapsed virtual time since Start — the idle-window
-// detector, without waiting.
+// under DutyCycle × elapsed virtual time since New — the idle-window
+// detector.
 func (c *Compactor) gateOpen() bool {
 	if c.cfg.DutyCycle >= 1 {
 		return true
@@ -324,24 +255,6 @@ func (c *Compactor) gateOpen() bool {
 	busy, start := c.busyNs, c.startNs
 	c.mu.Unlock()
 	return float64(busy) <= c.cfg.DutyCycle*float64(c.clock.Now()-start)
-}
-
-// gate blocks until the duty gate opens. The clock only advances when
-// SOMETHING does work, so the compactor waits on real time for
-// foreground traffic to open the window. Returns false when stopped
-// while waiting.
-func (c *Compactor) gate(stop chan struct{}) bool {
-	for {
-		if c.gateOpen() {
-			return true
-		}
-		select {
-		case <-stop:
-			return false
-		//fragvet:ignore vclockpurity the duty gate polls real time because only foreground traffic advances the virtual clock
-		case <-time.After(100 * time.Microsecond):
-		}
-	}
 }
 
 // charge accounts one operation's virtual time as compactor busy time.
@@ -357,11 +270,13 @@ func (c *Compactor) charge(w vclock.Stopwatch) {
 
 // cycle runs one scan plus the work it uncovers: a pack attempt over
 // the small-object tail, then worst-first rewrites up to CycleBudget.
-// admit is consulted before every operation — the blocking duty gate
-// for the background loop, its non-blocking twin for CatchUp, and a
-// constant true for RunOnce; a false return abandons the cycle. It
+// gate is consulted before every operation — the duty gate for
+// CatchUp, a constant true for RunOnce; a false return abandons the
+// cycle, as does a done ctx. A failure caused by ctx ending is the
+// caller's cancellation, not a store error, so it is not counted. It
 // reports whether any object was moved.
-func (c *Compactor) cycle(ctx context.Context, admit func() bool) bool {
+func (c *Compactor) cycle(ctx context.Context, gate func() bool) bool {
+	admit := func() bool { return ctx.Err() == nil && gate() }
 	rep := frag.Analyze(c.scan)
 	c.mu.Lock()
 	c.stats.Scans++
@@ -393,9 +308,8 @@ func (c *Compactor) cycle(ctx context.Context, admit func() bool) bool {
 			for _, k := range smalls {
 				c.packTried[k] = true
 			}
-			if err != nil {
-				c.stats.Errors++
-			} else if len(packed) > 0 {
+			switch {
+			case err == nil && len(packed) > 0:
 				c.stats.Packs++
 				c.stats.PackedObjects += int64(len(packed))
 				for _, k := range packed {
@@ -407,6 +321,8 @@ func (c *Compactor) cycle(ctx context.Context, admit func() bool) bool {
 					}
 				}
 				worked = true
+			case err != nil && ctx.Err() == nil:
+				c.stats.Errors++
 			}
 			c.mu.Unlock()
 		}
@@ -451,7 +367,7 @@ func (c *Compactor) cycle(ctx context.Context, admit func() bool) bool {
 			c.stats.SkippedBusy++
 		case errors.Is(err, blob.ErrNotFound):
 			// Churned away between scan and rewrite; not an error.
-		case err != nil:
+		case err != nil && ctx.Err() == nil:
 			c.stats.Errors++
 		}
 		c.mu.Unlock()

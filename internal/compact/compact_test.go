@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/blob"
 	"repro/internal/cache"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/units"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // newShatteredFS builds a FileStore holding n objects of size bytes and
@@ -233,38 +234,26 @@ func TestRunOnceCompactsDBStore(t *testing.T) {
 }
 
 // TestDutyCycleBoundsBusyTime pins the gate: with foreground reads
-// advancing the shared clock, a background compactor at duty d never
-// runs more than d of the elapsed virtual time ahead by more than one
-// operation.
+// advancing the shared clock and the compactor catching up after each
+// one, a compactor at duty d never runs more than d of the elapsed
+// virtual time ahead by more than one operation.
 func TestDutyCycleBoundsBusyTime(t *testing.T) {
 	const duty = 0.1
-	ctx := context.Background()
 	store := newShatteredFS(t, 24, units.MB)
 	c, err := compact.New(store, compact.Config{DutyCycle: duty, PackThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := vclock.StartWatch(store.Clock())
-	c.Start()
-	// Foreground traffic: reads advance the clock and open idle windows.
-	// Keep going until the compactor has demonstrably worked (or a real
-	// deadline passes — the gate only sleeps 100µs at a time).
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; c.Stats().Rewrites == 0 && time.Now().Before(deadline); i++ {
-		if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%24)); err != nil && !errors.Is(err, blob.ErrNotFound) {
-			t.Fatal(err)
-		}
+	reads := &workload.ReadSource{Keys: store.Keys(), Samples: 400}
+	if _, err := workload.NewExecutor(store).RunWithBackground(
+		[]workload.Stream{{Source: reads, RNG: rand.New(rand.NewSource(1))}}, workload.RunOptions{}, c); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		if _, _, err := blob.Get(ctx, store, fmt.Sprintf("obj-%02d", i%24)); err != nil && !errors.Is(err, blob.ErrNotFound) {
-			t.Fatal(err)
-		}
-	}
-	c.Stop()
 	elapsed := w.Seconds()
 	st := c.Stats()
 	if st.Rewrites == 0 {
-		t.Fatalf("background compactor never ran: %v", st)
+		t.Fatalf("compactor never ran: %v", st)
 	}
 	// The gate admits an op when busy <= duty*elapsed, so the overshoot
 	// is bounded by a single op's cost; objects are uniform, so twice the
@@ -282,8 +271,7 @@ func TestZeroDutyIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start() // no-op: zero duty cycle
-	c.Stop()
+	c.CatchUp(context.Background()) // no-op: zero duty cycle
 	if st := c.Stats(); st != (compact.Stats{}) {
 		t.Fatalf("zero-duty compactor did work: %v", st)
 	}
@@ -358,48 +346,50 @@ func TestFleetUnwrapsCache(t *testing.T) {
 	}
 }
 
-// TestBackgroundLoopHonorsContext pins the WithContext plumbing: the
-// background loop must carry the configured context, so canceling it
-// winds the loop down on its own — before the fix the loop minted
-// context.Background() and cancellation never reached background work.
-func TestBackgroundLoopHonorsContext(t *testing.T) {
+// cancelAfter is a FileStore whose CompactObject cancels a context
+// once the first rewrite returns.
+type cancelAfter struct {
+	*core.FileStore
+	cancel context.CancelFunc
+}
+
+func (s cancelAfter) CompactObject(ctx context.Context, key string) (int64, error) {
+	defer s.cancel()
+	return s.FileStore.CompactObject(ctx, key)
+}
+
+// TestCycleStopsAtContextError pins cancellation: a cycle stops at the
+// first context error instead of trying (and counting as a store
+// error) every remaining candidate, and the compactor still works once
+// handed a live context.
+func TestCycleStopsAtContextError(t *testing.T) {
 	store := newShatteredFS(t, 12, 2*units.MB)
 	c, err := compact.New(store, compact.Config{DutyCycle: 1, PackThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c.WithContext(ctx).Start()
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Scans == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.Stats().Scans == 0 {
-		t.Fatal("background loop never ran a cycle")
-	}
-
 	cancel()
-	// The loop must stop scanning without Stop being called. An
-	// uncancelable loop keeps rescanning every idle interval, so two
-	// well-separated equal samples prove it drained.
-	var s1, s2 int64
-	for time.Now().Before(deadline) {
-		s1 = c.Stats().Scans
-		time.Sleep(300 * time.Millisecond)
-		s2 = c.Stats().Scans
-		if s1 == s2 {
-			break
-		}
+	if st := c.RunOnce(ctx); st.Errors != 0 || st.Rewrites != 0 {
+		t.Fatalf("RunOnce with a canceled context: %d rewrites, %d errors; want 0, 0", st.Rewrites, st.Errors)
 	}
-	if s1 != s2 {
-		t.Fatalf("loop still scanning after cancel: %d -> %d scans", s1, s2)
+	c.CatchUp(ctx)
+	if st := c.Stats(); st.Errors != 0 || st.Rewrites != 0 {
+		t.Fatalf("CatchUp with a canceled context: %d rewrites, %d errors; want 0, 0", st.Rewrites, st.Errors)
 	}
-	c.Stop()
 
-	// Positive control: the same compactor still works through the
-	// synchronous entry point with a live context.
-	store.Volume().ShatterFiles(4)
+	// Cancellation mid-cycle: the rewrite in flight completes, nothing
+	// after it starts.
+	ctx, cancel = context.WithCancel(context.Background())
+	mid, err := compact.New(cancelAfter{store, cancel}, compact.Config{DutyCycle: 1, PackThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := mid.RunOnce(ctx); st.Errors != 0 || st.Rewrites != 1 {
+		t.Fatalf("RunOnce canceled after one rewrite: %d rewrites, %d errors; want 1, 0", st.Rewrites, st.Errors)
+	}
+
 	if st := c.RunOnce(context.Background()); st.Rewrites == 0 {
-		t.Fatalf("RunOnce with a live context did no work: %+v", st)
+		t.Fatalf("RunOnce with a live context did no work: %v", st)
 	}
 }

@@ -61,20 +61,6 @@ func NewFleet(store blob.Store, cfg Config) (*Fleet, error) {
 // Size returns the number of per-shard compactors.
 func (f *Fleet) Size() int { return len(f.comps) }
 
-// Start launches every per-shard compactor.
-func (f *Fleet) Start() {
-	for _, c := range f.comps {
-		c.Start()
-	}
-}
-
-// Stop halts every per-shard compactor and blocks until all drain.
-func (f *Fleet) Stop() {
-	for _, c := range f.comps {
-		c.Stop()
-	}
-}
-
 // RunOnce runs one synchronous cycle on every per-shard compactor,
 // returning the aggregated work of this pass.
 func (f *Fleet) RunOnce(ctx context.Context) Stats {
@@ -86,8 +72,8 @@ func (f *Fleet) RunOnce(ctx context.Context) Stats {
 	return total
 }
 
-// CatchUp gives every per-shard compactor one synchronous duty-gated
-// work opportunity (see Compactor.CatchUp).
+// CatchUp gives every per-shard compactor, in shard order, one
+// synchronous duty-gated work opportunity (see Compactor.CatchUp).
 func (f *Fleet) CatchUp(ctx context.Context) {
 	for _, c := range f.comps {
 		c.CatchUp(ctx)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/blob"
@@ -26,23 +25,16 @@ func (c Config) dutyCycles() []float64 {
 	return defaultDutyCycles
 }
 
-// compactionSteps is the number of churn increments between the aging
-// point and MaxAge; each increment ends in an idle vclock window where
-// the compactor may catch up to its duty-cycle share.
-const compactionSteps = 8
-
 // CompactionSweep answers the question §3.4 raises but never measures:
 // does online defragmentation pay for itself? Each backend is aged to
 // MaxAge/2 so fragmentation is established, then churned to MaxAge with
-// an online compactor active at each duty cycle (0 = off). The churn
-// runs in increments: during each one the compactor rides along as a
-// background worker racing the live stream, and the idle window at the
-// increment boundary lets it catch up — synchronously but still duty
-// gated — to its share of the increment's virtual time. Rewrites charge
-// full read+write disk cost on the shared virtual clock, and the
-// measured span covers churn and catch-up alike, so the MB/s column
-// already contains the compaction tax that the fragments/object column
-// shows the benefit of.
+// an online compactor active at each duty cycle (0 = off). The
+// compactor runs inline between churn ops: after every op it catches
+// up, duty gated, to its share of the virtual time elapsed since it was
+// built. Rewrites charge full read+write disk cost on the shared
+// virtual clock, and the measured span covers churn and compaction
+// alike, so the MB/s column already contains the compaction tax that
+// the fragments/object column shows the benefit of.
 func CompactionSweep(c Config) ([]*stats.Table, error) {
 	duties := c.dutyCycles()
 	objSize := units.RoundUp(c.VolumeBytes/400, 64*units.KB)
@@ -84,7 +76,7 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			}
 			// The obs layer wraps the whole chain, so compactor rewrites
 			// (which execute through the top) are timed as store.compact
-			// alongside the foreground ops they race.
+			// alongside the foreground ops they run between.
 			top := p.wrap(store, "store")
 			runner := workload.NewRunner(top, dist, c.Seed)
 			if _, err := runner.BulkLoad(c.Occupancy); err != nil {
@@ -96,7 +88,7 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			before := meanFrags(store)
 
 			var fleet *compact.Fleet
-			var bg workload.Background
+			var bg workload.Background // stays a nil interface when off
 			if duty > 0 {
 				fleet, err = compact.NewFleet(top, compact.Config{DutyCycle: duty})
 				if err != nil {
@@ -106,24 +98,15 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 			}
 			// The latency ledger covers the measured churn only; the
 			// collector attaches after setup so op quantiles describe the
-			// compactor-contended phase.
+			// compacted phase.
 			p.reset()
 			runner.WithCollector(p.collector())
-			ctx := context.Background()
 			w := vclock.StartWatch(store.Clock())
-			var churnBytes int64
-			for i := 1; i <= compactionSteps; i++ {
-				age := preAge + (endAge-preAge)*float64(i)/compactionSteps
-				res, err := runner.ChurnToAge(age, workload.ChurnOptions{Background: bg})
-				if err != nil {
-					return nil, fmt.Errorf("compact %s churn to %.2f: %w", kind, age, err)
-				}
-				churnBytes += res.Bytes
-				if fleet != nil {
-					fleet.CatchUp(ctx)
-				}
+			res, err := runner.ChurnToAge(endAge, workload.ChurnOptions{Background: bg})
+			if err != nil {
+				return nil, fmt.Errorf("compact %s churn to %.2f: %w", kind, endAge, err)
 			}
-			mbps := units.MBps(churnBytes, w.Seconds())
+			mbps := units.MBps(res.Bytes, w.Seconds())
 			f := meanFrags(store)
 			fragSeries.Add(duty, f)
 			tputSeries.Add(duty, mbps)
@@ -150,13 +133,13 @@ func CompactionSweep(c Config) ([]*stats.Table, error) {
 	}
 	tput.Note("Duty cycle bounds the compactor's share of virtual time; its rewrites charge full read+write cost on the shared clock.")
 	for _, t := range latTables {
-		t.Note("store.compact is one compactor rewrite (full read+write through the chain); foreground op quantiles include virtual time the compactor charged while they were in flight")
+		t.Note("store.compact is one compactor rewrite (full read+write through the chain); the compactor runs between foreground ops, so its cost shows only in store.compact and in the MB/s column, not in foreground op quantiles")
 	}
 	return append([]*stats.Table{frags, tput}, latTables...), nil
 }
 
 // compactionLatencyMetrics are the histograms the compact sweep
-// prints: foreground op latencies under compactor contention plus the
+// prints: foreground op latencies during the compacted churn plus the
 // per-rewrite cost of the compactor itself.
 var compactionLatencyMetrics = []string{
 	"op.create", "op.replace", "op.delete", "op.read", "store.compact",

@@ -158,7 +158,7 @@ var Experiments = []Experiment{
 	{ID: "interleave", Title: "Concurrent writer streams with group commit", Paper: "§6 extension, §3.1", Run: InterleaveSweep},
 	{ID: "readcache", Title: "Read-path cache capacity sweep with Zipf reads", Paper: "§5 extension, read path", Run: ReadCacheSweep},
 	{ID: "tracereplay", Title: "Recorded-trace replay across k concurrent writer streams", Paper: "§6 + §5.4 trace-based generation", Run: TraceReplaySweep},
-	{ID: "compact", Title: "Online background compaction duty-cycle sweep", Paper: "§3.4 (the unmeasured tradeoff)", Run: CompactionSweep},
+	{ID: "compact", Title: "Online compaction duty-cycle sweep", Paper: "§3.4 (the unmeasured tradeoff)", Run: CompactionSweep},
 }
 
 // ByID returns the experiment with the given ID.

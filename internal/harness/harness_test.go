@@ -357,12 +357,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := TestConfig()
 	cfg.StreamCounts = []int{1}
 	for _, e := range Experiments {
-		if e.ID == "compact" {
-			// The compactor's duty gate polls wall time while it waits
-			// for foreground traffic to move the virtual clock, so its
-			// rewrite counts vary between runs.
-			continue
-		}
 		t.Run(e.ID, func(t *testing.T) {
 			run := func() string {
 				tables, err := e.Run(cfg)

@@ -60,26 +60,58 @@ func (e *Executor) Tracker() *core.AgeTracker { return e.tracker }
 // Store returns the store under test.
 func (e *Executor) Store() blob.Store { return e.tracker.Store() }
 
-// Background is a store-maintenance worker that runs concurrently with
-// a phase's operation streams — the online compactor is the canonical
-// implementation. Start launches it; Stop blocks until it drains. Both
-// must be safe to call around an arbitrary phase.
+// Background is a store-maintenance worker that runs between a
+// phase's operations — the online compactor is the canonical
+// implementation. CatchUp does whatever work the worker is owed at the
+// current virtual time and returns; it must not wait.
 type Background interface {
-	Start()
-	Stop()
+	CatchUp(ctx context.Context)
 }
 
-// RunWithBackground runs the streams with a background worker active
-// for the duration of the phase: bg starts before the first op and is
-// stopped (and drained) once the streams finish, so its work genuinely
-// interleaves with the k operation streams on the shared clock. A nil
-// bg degenerates to Run.
+// RunWithBackground is Run with a maintenance worker: the single
+// inline stream calls bg.CatchUp after every op it executes, so the
+// worker's charges interleave with the stream's on the shared clock in
+// the same order on every run. A nil bg degenerates to Run. A non-nil
+// bg with more than one stream is refused with an error wrapping
+// blob.ErrBadOption: concurrent streams leave no serial point between
+// ops to run it.
 func (e *Executor) RunWithBackground(streams []Stream, opts RunOptions, bg Background) (RunResult, error) {
-	if bg != nil {
-		bg.Start()
-		defer bg.Stop()
+	if bg != nil && len(streams) != 1 {
+		return RunResult{}, fmt.Errorf("workload: background worker with %d streams (want 1): %w",
+			len(streams), blob.ErrBadOption)
 	}
-	return e.Run(streams, opts)
+	if len(streams) < 1 {
+		return RunResult{}, fmt.Errorf("workload: %d streams (want at least 1): %w",
+			len(streams), blob.ErrBadOption)
+	}
+	if len(streams) > MaxStreams {
+		return RunResult{}, fmt.Errorf("workload: %d streams exceeds MaxStreams %d: %w",
+			len(streams), MaxStreams, blob.ErrBadOption)
+	}
+	res := RunResult{Streams: make([]Counts, len(streams))}
+	w := vclock.StartWatch(e.Store().Clock())
+	var err error
+	if len(streams) == 1 {
+		// One stream runs inline: no goroutine between the caller and
+		// the classic sequential workload.
+		err = e.runStream(0, streams[0], opts, &res.Streams[0], e.tracker, bg)
+	} else {
+		errs := make([]error, len(streams))
+		var wg sync.WaitGroup
+		for i := range streams {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				view := e.tracker.StreamView()
+				defer view.Merge()
+				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i], view, nil)
+			}(i)
+		}
+		wg.Wait()
+		err = errors.Join(errs...)
+	}
+	res.Seconds = w.Seconds()
+	return res, err
 }
 
 // Stream pairs a Source with the RNG that drives it. RNGs are
@@ -195,42 +227,12 @@ type trackerOps interface {
 // runs inline against the plain tracker: a k=1 phase is byte-for-byte
 // the classic sequential workload.
 func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
-	if len(streams) < 1 {
-		return RunResult{}, fmt.Errorf("workload: %d streams (want at least 1): %w",
-			len(streams), blob.ErrBadOption)
-	}
-	if len(streams) > MaxStreams {
-		return RunResult{}, fmt.Errorf("workload: %d streams exceeds MaxStreams %d: %w",
-			len(streams), MaxStreams, blob.ErrBadOption)
-	}
-	res := RunResult{Streams: make([]Counts, len(streams))}
-	w := vclock.StartWatch(e.Store().Clock())
-	var err error
-	if len(streams) == 1 {
-		// One stream runs inline: no goroutine between the caller and
-		// the classic sequential workload.
-		err = e.runStream(0, streams[0], opts, &res.Streams[0], e.tracker)
-	} else {
-		errs := make([]error, len(streams))
-		var wg sync.WaitGroup
-		for i := range streams {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				view := e.tracker.StreamView()
-				defer view.Merge()
-				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i], view)
-			}(i)
-		}
-		wg.Wait()
-		err = errors.Join(errs...)
-	}
-	res.Seconds = w.Seconds()
-	return res, err
+	return e.RunWithBackground(streams, opts, nil)
 }
 
-// runStream drains one source, executing each op against the store.
-func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct trackerOps) error {
+// runStream drains one source, executing each op against the store and
+// then giving bg (when non-nil) its turn.
+func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct trackerOps, bg Background) error {
 	src := st.Source
 	obs, observes := src.(SourceObserver)
 	consecutiveSkips := 0
@@ -258,22 +260,25 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct
 			obs.Observe(op, err)
 		}
 		if err != nil {
-			if opts.TolerateNoSpace && (op.Kind == OpCreate || op.Kind == OpReplace) &&
-				errors.Is(err, blob.ErrNoSpaceLeft) {
-				c.Skipped++
-				if opts.TrackSkipTime {
-					c.SkippedSeconds += opWatch.Seconds()
-				}
-				consecutiveSkips++
-				if st.SkipLimit > 0 && consecutiveSkips > st.SkipLimit {
-					return fmt.Errorf("stream %d (%s) op %d: store full on every try: %w",
-						id, src.Name(), opIdx, err)
-				}
-				continue
+			if !opts.TolerateNoSpace || (op.Kind != OpCreate && op.Kind != OpReplace) ||
+				!errors.Is(err, blob.ErrNoSpaceLeft) {
+				return fmt.Errorf("stream %d (%s) op %d (%s): %w", id, src.Name(), opIdx, op, err)
 			}
-			return fmt.Errorf("stream %d (%s) op %d (%s): %w", id, src.Name(), opIdx, op, err)
+			c.Skipped++
+			if opts.TrackSkipTime {
+				c.SkippedSeconds += opWatch.Seconds()
+			}
+			consecutiveSkips++
+			if st.SkipLimit > 0 && consecutiveSkips > st.SkipLimit {
+				return fmt.Errorf("stream %d (%s) op %d: store full on every try: %w",
+					id, src.Name(), opIdx, err)
+			}
+		} else {
+			consecutiveSkips = 0
 		}
-		consecutiveSkips = 0
+		if bg != nil {
+			bg.CatchUp(e.ctx)
+		}
 	}
 }
 

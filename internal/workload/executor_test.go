@@ -172,3 +172,62 @@ func TestExecutorSkipLimit(t *testing.T) {
 		t.Fatalf("skipped %d before aborting, want SkipLimit+1 = 4", got)
 	}
 }
+
+// countingBackground records each CatchUp call and the store's object
+// count at that moment.
+type countingBackground struct {
+	store blob.Store
+	seen  []int
+}
+
+func (b *countingBackground) CatchUp(context.Context) {
+	b.seen = append(b.seen, b.store.ObjectCount())
+}
+
+// TestRunWithBackgroundCatchesUpAfterEveryOp pins the inline hook: at
+// k=1 the worker gets exactly one turn after every executed op, a
+// skipped write included, and each turn sees that op's effect.
+func TestRunWithBackgroundCatchesUpAfterEveryOp(t *testing.T) {
+	store := newFS(32 * units.MB)
+	ops := []Op{
+		{Kind: OpCreate, Key: "a", Size: units.MB},
+		{Kind: OpCreate, Key: "b", Size: units.MB},
+		{Kind: OpCreate, Key: "huge", Size: 64 * units.MB}, // refused, skipped
+		{Kind: OpRead, Key: "a"},
+		{Kind: OpDelete, Key: "b"},
+	}
+	i := 0
+	bg := &countingBackground{store: store}
+	rr, err := NewExecutor(store).RunWithBackground(
+		[]Stream{{Source: &sliceSource{ops: ops, i: &i}, RNG: rand.New(rand.NewSource(1))}},
+		RunOptions{TolerateNoSpace: true}, bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tot := rr.Total()
+	if tot.Ops() != 4 || tot.Skipped != 1 {
+		t.Fatalf("counts %+v, want 4 ops and 1 skip", tot)
+	}
+	if want := []int{1, 2, 2, 2, 1}; fmt.Sprint(bg.seen) != fmt.Sprint(want) {
+		t.Fatalf("CatchUp saw object counts %v, want %v (one call after each op)", bg.seen, want)
+	}
+}
+
+// TestRunWithBackgroundRefusesConcurrentStreams pins the k>1 refusal:
+// concurrent streams have no serial point between ops for the worker.
+func TestRunWithBackgroundRefusesConcurrentStreams(t *testing.T) {
+	store := newFS(32 * units.MB)
+	bg := &countingBackground{store: store}
+	var streams []Stream
+	for s := int64(1); s <= 2; s++ {
+		i := 0
+		src := &sliceSource{ops: []Op{{Kind: OpCreate, Key: fmt.Sprint("k", s), Size: units.MB}}, i: &i}
+		streams = append(streams, Stream{Source: src, RNG: rand.New(rand.NewSource(s))})
+	}
+	if _, err := NewExecutor(store).RunWithBackground(streams, RunOptions{}, bg); !errors.Is(err, blob.ErrBadOption) {
+		t.Fatalf("err = %v, want ErrBadOption", err)
+	}
+	if len(bg.seen) != 0 || store.ObjectCount() != 0 {
+		t.Fatalf("refused run still executed: %d CatchUp calls, %d objects", len(bg.seen), store.ObjectCount())
+	}
+}

@@ -220,9 +220,9 @@ type ChurnOptions struct {
 	// a row is refused, so a genuinely full store cannot spin forever.
 	TolerateNoSpace bool
 
-	// Background, when non-nil, runs a maintenance worker (the online
-	// compactor) concurrently with the churn stream for the duration of
-	// the phase.
+	// Background, when non-nil, is a maintenance worker (the online
+	// compactor) that gets a CatchUp turn after every churn op; see
+	// Executor.RunWithBackground.
 	Background Background
 }
 
