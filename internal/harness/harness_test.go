@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -350,9 +352,16 @@ func TestFigure6Occupancy(t *testing.T) {
 	}
 }
 
+// update rewrites the golden renderings under testdata/golden:
+//
+//	go test ./internal/harness -run TestDeterministicAcrossRuns -update
+var update = flag.Bool("update", false, "rewrite testdata/golden from this run")
+
 // TestDeterministicAcrossRuns runs each registered experiment twice at
 // quick scale with one writer stream and the same seed, and requires
 // identical tables: at k=1 every figure is a pure function of the seed.
+// The rendering must also match testdata/golden/<id>.txt, so a change
+// that moves any k=1 number shows up as a diff.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := TestConfig()
 	cfg.StreamCounts = []int{1}
@@ -369,8 +378,26 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				}
 				return b.String()
 			}
-			if first, second := run(), run(); first != second {
+			first, second := run(), run()
+			if first != second {
 				t.Fatalf("two runs on seed %d differ:\n%s\n---\n%s", cfg.Seed, first, second)
+			}
+			golden := filepath.Join("testdata", "golden", e.ID+".txt")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(first), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (rerun with -update to create it)", err)
+			}
+			if first != string(want) {
+				t.Fatalf("output differs from %s:\n%s\n--- want ---\n%s", golden, first, want)
 			}
 		})
 	}
