@@ -3,12 +3,13 @@
 // purity, sentinel-error discipline, pooled-handle lifecycles, stripe
 // vs group-commit ordering, and context threading).
 //
-// It runs two ways:
+// It runs as a go vet backend, driven by cmd/go:
 //
-//	fragvet [packages]               standalone; defaults to ./...
-//	go vet -vettool=$(which fragvet) ./...   driven by cmd/go
+//	go build -o bin/fragvet ./cmd/fragvet
+//	go vet -vettool=$(pwd)/bin/fragvet ./...
 //
-// Findings print as file:line:col: message (analyzer) and the exit
+// Run by hand without vet's arguments, it prints that usage and exits
+// 2. Findings print as file:line:col: message (analyzer) and the exit
 // status is 2, matching go vet. Suppress a finding with an inline
 // directive on (or directly above) the flagged line:
 //
@@ -42,39 +43,9 @@ func analyzers() []*analysis.Analyzer {
 
 func main() {
 	args := os.Args[1:]
-	if analysis.IsVetInvocation(args) {
-		os.Exit(analysis.Vet(args, analyzers()))
+	if !analysis.IsVetInvocation(args) {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=/path/to/fragvet [packages]")
+		os.Exit(2)
 	}
-	os.Exit(standalone(args))
-}
-
-// standalone loads the requested packages itself (via `go list
-// -export`) and runs the full suite, for use outside go vet.
-func standalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fragvet: %v\n", err)
-		return 1
-	}
-	pkgs, err := analysis.Load(wd, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fragvet: %v\n", err)
-		return 1
-	}
-	code := 0
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analyzers())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fragvet: %v\n", err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
-			code = 2
-		}
-	}
-	return code
+	os.Exit(analysis.Vet(args, analyzers()))
 }

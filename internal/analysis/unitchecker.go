@@ -71,7 +71,7 @@ func Vet(args []string, analyzers []*Analyzer) int {
 }
 
 // IsVetInvocation reports whether args look like cmd/go driving the
-// tool as a vettool rather than a human running it standalone.
+// tool as a vettool rather than a human running it by hand.
 func IsVetInvocation(args []string) bool {
 	for _, a := range args {
 		if a == "-V=full" || a == "--V=full" || a == "-flags" || a == "--flags" {

@@ -246,8 +246,8 @@ func TestDutyCycleBoundsBusyTime(t *testing.T) {
 	}
 	w := vclock.StartWatch(store.Clock())
 	reads := &workload.ReadSource{Keys: store.Keys(), Samples: 400}
-	if _, err := workload.NewExecutor(store).RunWithBackground(
-		[]workload.Stream{{Source: reads, RNG: rand.New(rand.NewSource(1))}}, workload.RunOptions{}, c); err != nil {
+	if _, err := workload.NewExecutor(store).Run(
+		[]workload.Stream{{Source: reads, RNG: rand.New(rand.NewSource(1))}}, workload.RunOptions{Background: c}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := w.Seconds()

@@ -36,9 +36,9 @@ func (c Config) streamCounts() []int {
 
 // InterleaveSweep measures the §6 prediction end-to-end: "interleaved
 // append requests to multiple objects ... are likely to increase
-// fragmentation". k concurrent writer streams (workload.ConcurrentRunner
-// goroutines with per-stream keyspaces) drive the full get/put workload
-// — concurrent bulk load, then churn to half the configured age — on
+// fragmentation". k concurrent writer streams (one workload.Runner,
+// each stream with its own keys) drive the full get/put workload —
+// concurrent bulk load, then churn to half the configured age — on
 // each backend at FIXED total volume, so appends from different streams
 // genuinely interleave in allocation order. Group commit is enabled with
 // batches up to k, so the sweep also reports how far the commit pipeline
@@ -128,8 +128,8 @@ func (c Config) runInterleaveArm(kind string, k int, dist workload.SizeDist, tar
 			err = cerr
 		}
 	}()
-	runner := workload.NewConcurrentRunner(p.wrap(store, "store"),
-		workload.UniformStreams(k, dist), c.Seed).WithCollector(p.collector())
+	runner := workload.NewStreamRunner(p.wrap(store, "store"), k, dist, c.Seed).
+		WithCollector(p.collector())
 	// Concurrent loaders race the byte budget; near the target one
 	// stream can lose the race to a refused allocation, which is the
 	// regime itself, not a failure.

@@ -41,7 +41,7 @@ func (c Config) newProbe(phase string, clock *vclock.Clock, missLayer string) *p
 }
 
 // collector returns the arm's op collector (nil when off), for
-// Runner/ConcurrentRunner.WithCollector and ReadOptions.Collector.
+// Runner.WithCollector and ReadOptions.Collector.
 func (p *probe) collector() *obs.Collector {
 	if p == nil {
 		return nil

@@ -25,8 +25,9 @@
 // Virtual time vs. wall clock: everything here measures the simulated
 // clock (vclock.Clock). An op's latency includes virtual time charged
 // by OTHER concurrent streams while the op was in flight — exactly the
-// queueing view a tail-latency SLO needs — and is reproducible per
-// seed, unlike wall-clock timings.
+// queueing view a tail-latency SLO needs. With one stream it is
+// reproducible per seed, unlike wall-clock timings; with k > 1 streams
+// charge the shared clock in scheduler order, so it varies by run.
 package obs
 
 import (
@@ -47,7 +48,7 @@ type TimeUnit string
 
 const (
 	// UnitVirtual marks histograms in vclock.Clock nanoseconds —
-	// deterministic per seed, host-independent.
+	// host-independent, and deterministic per seed for one stream.
 	UnitVirtual TimeUnit = "virtual_ns"
 	// UnitWall marks histograms in wall-clock nanoseconds — the network
 	// service's SLO view, not reproducible across hosts.

@@ -210,7 +210,8 @@ type chromeEvent struct {
 // (load in chrome://tracing or Perfetto): one process per experiment
 // phase, one thread track per operation stream, an "X" slice per op
 // and nested slices per layer span. All timestamps are virtual
-// microseconds, so the flame is deterministic per seed.
+// microseconds, so a single-stream run's flame is deterministic per
+// seed.
 func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 	ops := tr.Ops()
 	pids := map[string]int{}

@@ -19,9 +19,9 @@
 // Ops without the column (every v1 trace) carry Stream 0, "untagged".
 //
 // Traces can be recorded from live store activity (Recorder), replayed
-// against any blob.Store — single-stream (Replay) or as k concurrent
-// writer streams (Partition + ReplayStreams), both through the shared
-// workload.Executor — streamed from an io.Reader without materializing
+// against any blob.Store as one or k concurrent writer streams
+// (ReplayStreams, with Partition for k > 1) through the shared
+// workload.Executor, streamed from an io.Reader without materializing
 // the whole log (Source), and analysed without execution: storage age
 // "can be computed from the data allocation rate" (§4.4), which Analyze
 // does.
@@ -491,14 +491,6 @@ type Result struct {
 	Seconds      float64
 	WriteMBps    float64
 	StorageAge   float64
-}
-
-// Replay executes a trace against store as one sequential stream,
-// preserving the recorded allocation order. Objects must exist before
-// replace/delete/get events reference them (Replace creates when
-// absent, as the safe-write protocol allows).
-func Replay(ctx context.Context, ops []Op, store blob.Store) (Result, error) {
-	return ReplayStreams(ctx, store, [][]Op{ops})
 }
 
 // ReplayStreams replays one op slice per concurrent writer stream —

@@ -141,7 +141,7 @@ func TestReplayReproducesStateAndAge(t *testing.T) {
 	wantLive := rec.LiveBytes()
 
 	for _, fresh := range []blob.Store{newFS(128 * units.MB), newDBr(128 * units.MB)} {
-		res, err := Replay(context.Background(), rec.Ops(), fresh)
+		res, err := ReplayStreams(context.Background(), fresh, [][]Op{rec.Ops()})
 		if err != nil {
 			t.Fatalf("%s replay: %v", fresh.Name(), err)
 		}
@@ -204,7 +204,7 @@ func TestAnalyzeRejectsBrokenTraces(t *testing.T) {
 
 func TestReplayFailsCleanlyOnBadTrace(t *testing.T) {
 	repo := newFS(64 * units.MB)
-	_, err := Replay(context.Background(), []Op{{Kind: Delete, Key: "ghost"}}, repo)
+	_, err := ReplayStreams(context.Background(), repo, [][]Op{{{Kind: Delete, Key: "ghost"}}})
 	if err == nil {
 		t.Fatal("replay of broken trace succeeded")
 	}
@@ -222,7 +222,7 @@ func TestReplayGroupedDeletePattern(t *testing.T) {
 		ops = append(ops, Op{Kind: Delete, Key: key(1, p)})
 	}
 	repo := newFS(64 * units.MB)
-	res, err := Replay(context.Background(), ops, repo)
+	res, err := ReplayStreams(context.Background(), repo, [][]Op{ops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestRecorderCapturesRangedReads(t *testing.T) {
 	if a.RangedGets != 1 {
 		t.Fatalf("Analyze counted %d ranged gets", a.RangedGets)
 	}
-	res, err := Replay(ctx, ops, newDBr(64*units.MB))
+	res, err := ReplayStreams(ctx, newDBr(64*units.MB), [][]Op{ops})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,14 @@ import (
 )
 
 // Executor drives k operation streams from any mix of Sources against
-// one blob.Store — the single engine behind the sequential Runner, the
-// ConcurrentRunner, and trace replay. Each Stream runs on its own
-// goroutine drawing ops from its Source with its own RNG, so appends
-// from different streams genuinely interleave in allocation order (the
-// §6 regime) while each stream's op sequence stays reproducible per
-// seed. One stream runs inline on the caller's goroutine, so a k=1
-// phase is byte-for-byte the classic sequential workload.
+// one blob.Store — the single engine behind the Runner and trace
+// replay. Each Stream runs on its own goroutine drawing ops from its
+// Source with its own RNG, so appends from different streams genuinely
+// interleave in allocation order (the §6 regime). One stream runs
+// inline on the caller's goroutine, so a k=1 phase is byte-for-byte the
+// classic sequential workload and repeats exactly per seed; at k>1 the
+// streams charge the shared clock in scheduler order, so timings vary
+// from run to run.
 //
 // The Executor owns the storage-age accounting: all mutations route
 // through one shared core.AgeTracker (storage age is a property of the
@@ -68,52 +69,6 @@ type Background interface {
 	CatchUp(ctx context.Context)
 }
 
-// RunWithBackground is Run with a maintenance worker: the single
-// inline stream calls bg.CatchUp after every op it executes, so the
-// worker's charges interleave with the stream's on the shared clock in
-// the same order on every run. A nil bg degenerates to Run. A non-nil
-// bg with more than one stream is refused with an error wrapping
-// blob.ErrBadOption: concurrent streams leave no serial point between
-// ops to run it.
-func (e *Executor) RunWithBackground(streams []Stream, opts RunOptions, bg Background) (RunResult, error) {
-	if bg != nil && len(streams) != 1 {
-		return RunResult{}, fmt.Errorf("workload: background worker with %d streams (want 1): %w",
-			len(streams), blob.ErrBadOption)
-	}
-	if len(streams) < 1 {
-		return RunResult{}, fmt.Errorf("workload: %d streams (want at least 1): %w",
-			len(streams), blob.ErrBadOption)
-	}
-	if len(streams) > MaxStreams {
-		return RunResult{}, fmt.Errorf("workload: %d streams exceeds MaxStreams %d: %w",
-			len(streams), MaxStreams, blob.ErrBadOption)
-	}
-	res := RunResult{Streams: make([]Counts, len(streams))}
-	w := vclock.StartWatch(e.Store().Clock())
-	var err error
-	if len(streams) == 1 {
-		// One stream runs inline: no goroutine between the caller and
-		// the classic sequential workload.
-		err = e.runStream(0, streams[0], opts, &res.Streams[0], e.tracker, bg)
-	} else {
-		errs := make([]error, len(streams))
-		var wg sync.WaitGroup
-		for i := range streams {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				view := e.tracker.StreamView()
-				defer view.Merge()
-				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i], view, nil)
-			}(i)
-		}
-		wg.Wait()
-		err = errors.Join(errs...)
-	}
-	res.Seconds = w.Seconds()
-	return res, err
-}
-
 // Stream pairs a Source with the RNG that drives it. RNGs are
 // caller-owned so they can persist across phases (the classic Runner
 // semantics: bulk load and churn continue one random sequence).
@@ -138,14 +93,12 @@ type RunOptions struct {
 	// Stream.SkipLimit consecutive writes are refused, so a genuinely
 	// full store cannot spin forever.
 	TolerateNoSpace bool
-	// TrackSkipTime charges the virtual time burned by each skipped
-	// write to Counts.SkippedSeconds (a refused safe write still pays
-	// for the allocation attempt and its rollback). Single-stream phases
-	// use it to keep refused writes out of throughput means; with k
-	// concurrent streams a skipped op's interval overlaps other streams'
-	// useful work, so there is no idle time to subtract and the option
-	// stays off.
-	TrackSkipTime bool
+	// Background, when non-nil, gets a CatchUp turn after every op of
+	// a single-stream run, so the worker's charges interleave with the
+	// stream's on the shared clock in the same order on every run. A
+	// run with more than one stream refuses it with blob.ErrBadOption:
+	// concurrent streams leave no serial point between ops to run it.
+	Background Background
 }
 
 // Counts is the raw per-stream operation accounting of one run.
@@ -159,8 +112,9 @@ type Counts struct {
 	// BytesRead is payload bytes returned by reads (a ranged read counts
 	// its range length).
 	BytesRead int64
-	// SkippedSeconds is virtual time consumed by skipped writes, when
-	// RunOptions.TrackSkipTime is set.
+	// SkippedSeconds is virtual time consumed by skipped writes. Only a
+	// single-stream run measures it: with k > 1 a skipped write's
+	// interval overlaps other streams' work.
 	SkippedSeconds float64
 }
 
@@ -217,8 +171,9 @@ type trackerOps interface {
 // writers would — and all stream errors are joined. Partial counts are
 // returned even on error.
 //
-// A stream count outside [1, MaxStreams] is refused with an error
-// wrapping blob.ErrBadOption.
+// A stream count outside [1, MaxStreams], or a background worker with
+// more than one stream, is refused with an error wrapping
+// blob.ErrBadOption.
 //
 // With k > 1 each stream charges the tracker through its own
 // core.StreamView (goroutine-local committed-size map, shared atomic
@@ -227,14 +182,51 @@ type trackerOps interface {
 // runs inline against the plain tracker: a k=1 phase is byte-for-byte
 // the classic sequential workload.
 func (e *Executor) Run(streams []Stream, opts RunOptions) (RunResult, error) {
-	return e.RunWithBackground(streams, opts, nil)
+	if opts.Background != nil && len(streams) != 1 {
+		return RunResult{}, fmt.Errorf("workload: background worker with %d streams (want 1): %w",
+			len(streams), blob.ErrBadOption)
+	}
+	if len(streams) < 1 {
+		return RunResult{}, fmt.Errorf("workload: %d streams (want at least 1): %w",
+			len(streams), blob.ErrBadOption)
+	}
+	if len(streams) > MaxStreams {
+		return RunResult{}, fmt.Errorf("workload: %d streams exceeds MaxStreams %d: %w",
+			len(streams), MaxStreams, blob.ErrBadOption)
+	}
+	res := RunResult{Streams: make([]Counts, len(streams))}
+	w := vclock.StartWatch(e.Store().Clock())
+	var err error
+	if len(streams) == 1 {
+		// One stream runs inline: no goroutine between the caller and
+		// the classic sequential workload.
+		err = e.runStream(0, streams[0], opts, &res.Streams[0], e.tracker, true)
+	} else {
+		errs := make([]error, len(streams))
+		var wg sync.WaitGroup
+		for i := range streams {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				view := e.tracker.StreamView()
+				defer view.Merge()
+				errs[i] = e.runStream(i, streams[i], opts, &res.Streams[i], view, false)
+			}(i)
+		}
+		wg.Wait()
+		err = errors.Join(errs...)
+	}
+	res.Seconds = w.Seconds()
+	return res, err
 }
 
 // runStream drains one source, executing each op against the store and
-// then giving bg (when non-nil) its turn.
-func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct trackerOps, bg Background) error {
+// then giving opts.Background (when non-nil) its turn. A solo stream —
+// the only one in its run — also times its skipped writes.
+func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct trackerOps, solo bool) error {
 	src := st.Source
 	obs, observes := src.(SourceObserver)
+	timeSkips := solo && opts.TolerateNoSpace
 	consecutiveSkips := 0
 	for opIdx := 0; ; opIdx++ {
 		if err := e.ctx.Err(); err != nil {
@@ -250,7 +242,7 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct
 			return nil
 		}
 		var opWatch vclock.Stopwatch
-		if opts.TrackSkipTime {
+		if timeSkips {
 			opWatch = vclock.StartWatch(e.Store().Clock())
 		}
 		opCtx, tr := e.collector.StartOp(e.ctx, id, op.Kind.String(), op.Key)
@@ -265,7 +257,7 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct
 				return fmt.Errorf("stream %d (%s) op %d (%s): %w", id, src.Name(), opIdx, op, err)
 			}
 			c.Skipped++
-			if opts.TrackSkipTime {
+			if timeSkips {
 				c.SkippedSeconds += opWatch.Seconds()
 			}
 			consecutiveSkips++
@@ -276,8 +268,8 @@ func (e *Executor) runStream(id int, st Stream, opts RunOptions, c *Counts, acct
 		} else {
 			consecutiveSkips = 0
 		}
-		if bg != nil {
-			bg.CatchUp(e.ctx)
+		if opts.Background != nil {
+			opts.Background.CatchUp(e.ctx)
 		}
 	}
 }

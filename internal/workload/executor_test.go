@@ -164,7 +164,7 @@ func TestExecutorSkipLimit(t *testing.T) {
 	i := 0
 	src := &sliceSource{ops: ops, i: &i}
 	rr, err := exec.Run([]Stream{{Source: src, RNG: rand.New(rand.NewSource(1)), SkipLimit: 3}},
-		RunOptions{TolerateNoSpace: true, TrackSkipTime: true})
+		RunOptions{TolerateNoSpace: true})
 	if !errors.Is(err, blob.ErrNoSpaceLeft) {
 		t.Fatalf("err = %v, want ErrNoSpaceLeft", err)
 	}
@@ -198,9 +198,9 @@ func TestRunWithBackgroundCatchesUpAfterEveryOp(t *testing.T) {
 	}
 	i := 0
 	bg := &countingBackground{store: store}
-	rr, err := NewExecutor(store).RunWithBackground(
+	rr, err := NewExecutor(store).Run(
 		[]Stream{{Source: &sliceSource{ops: ops, i: &i}, RNG: rand.New(rand.NewSource(1))}},
-		RunOptions{TolerateNoSpace: true}, bg)
+		RunOptions{TolerateNoSpace: true, Background: bg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunWithBackgroundRefusesConcurrentStreams(t *testing.T) {
 		src := &sliceSource{ops: []Op{{Kind: OpCreate, Key: fmt.Sprint("k", s), Size: units.MB}}, i: &i}
 		streams = append(streams, Stream{Source: src, RNG: rand.New(rand.NewSource(s))})
 	}
-	if _, err := NewExecutor(store).RunWithBackground(streams, RunOptions{}, bg); !errors.Is(err, blob.ErrBadOption) {
+	if _, err := NewExecutor(store).Run(streams, RunOptions{Background: bg}); !errors.Is(err, blob.ErrBadOption) {
 		t.Fatalf("err = %v, want ErrBadOption", err)
 	}
 	if len(bg.seen) != 0 || store.ObjectCount() != 0 {

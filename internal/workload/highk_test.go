@@ -33,11 +33,11 @@ func TestExecutorStreamCountBounds(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunnerHighK drives 64 streams through the full pipeline
+// TestStreamRunnerHighK drives 64 streams through the full pipeline
 // — per-stream AgeTracker views, the batcher pool, pooled reader/writer
 // handles — at a size CI can afford under -race. The assertions are
 // deliberately coarse; the point of the test is the interleaving.
-func TestConcurrentRunnerHighK(t *testing.T) {
+func TestStreamRunnerHighK(t *testing.T) {
 	const k = 64
 	store, err := core.NewFileStore(vclock.New(),
 		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode),
@@ -46,7 +46,7 @@ func TestConcurrentRunnerHighK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	r := NewConcurrentRunner(store, UniformStreams(k, Constant{Size: 256 * units.KB}), 1)
+	r := NewStreamRunner(store, k, Constant{Size: 256 * units.KB}, 1)
 
 	load, err := r.BulkLoad(0.4)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,21 +14,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestConcurrentRunnerBulkLoadAndChurn drives 4 streams through a
-// group-committing filesystem store and checks the phase accounting and
-// keyspace separation.
+// TestConcurrentRunnerBulkLoadAndChurn drives a 4-stream Runner
+// through a group-committing filesystem store and checks the phase
+// accounting and keyspace separation.
 func TestConcurrentRunnerBulkLoadAndChurn(t *testing.T) {
+	const k = 4
 	store, err := core.NewFileStore(vclock.New(),
 		blob.WithCapacity(256*units.MB), blob.WithDiskMode(disk.MetadataMode),
-		blob.WithGroupCommit(4, 100*time.Microsecond))
+		blob.WithGroupCommit(k, 100*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	r := NewConcurrentRunner(store, UniformStreams(4, Constant{Size: 1 * units.MB}), 1)
-	if r.Streams() != 4 {
-		t.Fatalf("Streams() = %d", r.Streams())
-	}
+	r := NewStreamRunner(store, k, Constant{Size: 1 * units.MB}, 1)
 
 	load, err := r.BulkLoad(0.5)
 	if err != nil {
@@ -44,16 +41,25 @@ func TestConcurrentRunnerBulkLoadAndChurn(t *testing.T) {
 	if r.Tracker().Age() != 0 {
 		t.Fatalf("age after load = %g", r.Tracker().Age())
 	}
-	// Every stream writes only its own keyspace.
-	perStream := map[string]bool{}
-	for _, k := range r.Keys() {
-		perStream[k[:3]] = true
-		if !strings.HasPrefix(k, "s0") {
-			t.Fatalf("unexpected key %q", k)
+	// Stream i numbers its keys i, i+k, i+2k, ...: each key's number
+	// mod k names the stream that wrote it, and Keys lists the streams
+	// in order, so residues never go back. Every stream gets keys.
+	residues := map[int64]bool{}
+	last := int64(-1)
+	for _, key := range r.Keys() {
+		var n int64
+		if _, err := fmt.Sscanf(key, "obj-%08d", &n); err != nil {
+			t.Fatalf("unexpected key %q: %v", key, err)
 		}
+		stream := n % k
+		if stream < last {
+			t.Fatalf("key %q of stream %d listed after stream %d", key, stream, last)
+		}
+		last = stream
+		residues[stream] = true
 	}
-	if len(perStream) != 4 {
-		t.Fatalf("streams seen: %v", perStream)
+	if len(residues) != k {
+		t.Fatalf("streams seen: %v, want all %d", residues, k)
 	}
 
 	churn, err := r.ChurnToAge(1, ChurnOptions{})
@@ -68,45 +74,12 @@ func TestConcurrentRunnerBulkLoadAndChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunnerSingleStreamMatchesSequential pins that k=1 is
-// the sequential workload: same distribution, same store config, same
-// object count and age trajectory as Runner (keys differ by prefix
-// only).
-func TestConcurrentRunnerSingleStreamMatchesSequential(t *testing.T) {
-	mk := func() blob.Store { return newFS(128 * units.MB) }
-	seq := NewRunner(mk(), Constant{Size: 1 * units.MB}, 7)
-	seqLoad, err := seq.BulkLoad(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := NewConcurrentRunner(mk(), UniformStreams(1, Constant{Size: 1 * units.MB}), 7)
-	concLoad, err := conc.BulkLoad(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqLoad.Ops != concLoad.Ops || seqLoad.Bytes != concLoad.Bytes {
-		t.Fatalf("k=1 load diverged: seq=%+v conc=%+v", seqLoad, concLoad)
-	}
-	seqChurn, err := seq.ChurnToAge(2, ChurnOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	concChurn, err := conc.ChurnToAge(2, ChurnOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqChurn.Ops != concChurn.Ops {
-		t.Fatalf("k=1 churn diverged: seq %d ops, conc %d ops", seqChurn.Ops, concChurn.Ops)
-	}
-}
-
 // TestConcurrentRunnerContextCancel pins that a cancelled context stops
 // every stream with a typed error.
 func TestConcurrentRunnerContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewConcurrentRunner(newFS(64*units.MB), UniformStreams(2, Constant{Size: 1 * units.MB}), 1).
-		WithContext(ctx)
+	r := NewStreamRunner(newFS(64*units.MB), 2, Constant{Size: 1 * units.MB}, 1).WithContext(ctx)
 	if _, err := r.BulkLoad(0.5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BulkLoad under cancelled ctx = %v", err)
 	}
@@ -160,5 +133,20 @@ func TestChurnSkippedTimeExcludedFromThroughput(t *testing.T) {
 	want := units.MBps(res.Bytes, res.Seconds-res.SkippedSeconds)
 	if res.MBps != want || res.MBps <= diluted {
 		t.Fatalf("MBps = %g, want %g (diluted mean would be %g)", res.MBps, want, diluted)
+	}
+}
+
+// TestStreamRunnerRefusesBadK pins that a stream count outside
+// [1, MaxStreams] fails the first phase with a typed error instead of
+// panicking or allocating a goroutine fleet.
+func TestStreamRunnerRefusesBadK(t *testing.T) {
+	for _, k := range []int{0, -1, MaxStreams + 1} {
+		r := NewStreamRunner(newFS(64*units.MB), k, Constant{Size: units.MB}, 1)
+		if _, err := r.MeasureReadThroughput(10); err == nil {
+			t.Fatalf("k=%d: read phase before load succeeded", k)
+		}
+		if _, err := r.BulkLoad(0.5); !errors.Is(err, blob.ErrBadOption) {
+			t.Fatalf("k=%d: BulkLoad err = %v, want ErrBadOption", k, err)
+		}
 	}
 }

@@ -8,12 +8,11 @@
 // sizes come from simple distributions (constant and uniform; the paper
 // found size distribution had no obvious effect on fragmentation).
 //
-// Since the operation-source redesign, every phase is expressed as a
-// Source of typed Ops executed by the shared Executor: the sequential
-// Runner, the ConcurrentRunner, and trace replay (package trace) are
-// thin arrangements of Sources over one engine, so any workload —
-// synthetic or recorded — can drive any blob.Store composition with one
-// set of accounting rules.
+// Every phase is expressed as Sources of typed Ops executed by the
+// shared Executor: the Runner (k writer streams) and trace replay
+// (package trace) are arrangements of Sources over one engine, so any
+// workload — synthetic or recorded — can drive any blob.Store
+// composition with one set of accounting rules.
 package workload
 
 import (
@@ -21,12 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/units"
-	"repro/internal/vclock"
 )
 
 // Typed errors for workload misconfiguration, in the spirit of
@@ -103,12 +102,11 @@ type Result struct {
 	Seconds float64
 	// SkippedSeconds is the virtual time consumed by operations that
 	// were skipped under TolerateNoSpace (a refused safe write still
-	// pays for the allocation attempt and its rollback). The sequential
-	// Runner excludes it from MBps so skipped writes cannot dilute the
-	// throughput mean. ConcurrentRunner phases leave it zero: with k
-	// streams a skipped op's interval overlaps other streams' useful
-	// work, so there is no idle time to subtract and MBps is bytes over
-	// the whole phase.
+	// pays for the allocation attempt and its rollback). It is excluded
+	// from MBps so skipped writes cannot dilute the throughput mean.
+	// Phases with k > 1 streams leave it zero: a skipped op's interval
+	// overlaps other streams' useful work, so there is no idle time to
+	// subtract and MBps is bytes over the whole phase.
 	SkippedSeconds float64
 	MBps           float64 // payload throughput (see SkippedSeconds)
 	EndingAge      float64 // storage age after the phase
@@ -120,25 +118,48 @@ func (r Result) String() string {
 		r.Ops, units.FormatBytes(r.Bytes), r.Seconds, r.MBps, r.EndingAge)
 }
 
-// Runner drives one store through the workload phases, single-stream.
-// Each phase is a Source executed by the shared Executor; the Runner
-// contributes the persistent per-workload state (one RNG spanning all
-// phases, the live-key list, fresh-key numbering).
+// Runner drives one store through the workload phases with k writer
+// streams. Each phase is one Source per stream executed by the shared
+// Executor; the Runner holds the per-stream state that persists across
+// phases (an RNG spanning all phases, the live keys, fresh-key
+// numbering).
+//
+// k > 1 is the §6 regime: "we have not yet characterized the impact of
+// interleaved append requests to multiple objects, which are likely to
+// increase fragmentation". Appends from different streams interleave in
+// allocation order, while storage age stays one property of the volume
+// (all streams share the Executor's AgeTracker).
 type Runner struct {
-	exec   *Executor
-	rng    *rand.Rand
-	dist   SizeDist
-	keys   []string
-	nextID int64
+	exec    *Executor
+	dist    SizeDist
+	streams []*stream
 }
 
-// NewRunner creates a deterministic runner over store.
+// stream is one writer's private workload state. Only its owning
+// goroutine touches it during a phase.
+type stream struct {
+	rng  *rand.Rand
+	keys []string
+	next int64 // number of the stream's next fresh key
+}
+
+// NewRunner creates a deterministic single-stream runner over store:
+// NewStreamRunner with k=1.
 func NewRunner(store blob.Store, dist SizeDist, seed int64) *Runner {
-	return &Runner{
-		exec: NewExecutor(store),
-		rng:  rand.New(rand.NewSource(seed)),
-		dist: dist,
+	return NewStreamRunner(store, 1, dist, seed)
+}
+
+// NewStreamRunner creates a runner with k writer streams, all drawing
+// object sizes from dist. Stream i seeds its RNG with seed+i and names
+// its keys obj-%08d with numbers i, i+k, i+2k, ..., so streams never
+// collide and k=1 numbers keys 0, 1, 2, .... A k outside
+// [1, MaxStreams] makes BulkLoad fail with blob.ErrBadOption.
+func NewStreamRunner(store blob.Store, k int, dist SizeDist, seed int64) *Runner {
+	r := &Runner{exec: NewExecutor(store), dist: dist}
+	for i := range min(k, MaxStreams+1) {
+		r.streams = append(r.streams, &stream{rng: rand.New(rand.NewSource(seed + int64(i))), next: int64(i)})
 	}
+	return r
 }
 
 // WithCollector installs per-op observability on the runner's executor
@@ -158,52 +179,70 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 // Executor exposes the engine the runner's phases execute through.
 func (r *Runner) Executor() *Executor { return r.exec }
 
-// Tracker exposes the storage-age tracker.
+// Tracker exposes the shared storage-age tracker.
 func (r *Runner) Tracker() *core.AgeTracker { return r.exec.Tracker() }
 
 // Repo returns the store under test.
 func (r *Runner) Repo() blob.Store { return r.exec.Store() }
 
-// Keys returns the keys of live objects, in creation order.
-func (r *Runner) Keys() []string { return r.keys }
-
-// ctx returns the context the executor carries.
-func (r *Runner) ctx() context.Context { return r.exec.ctx }
-
-// clockWatch starts a stopwatch on the repository clock.
-func (r *Runner) clockWatch() vclock.Stopwatch {
-	return vclockWatch(r.Repo())
+// Keys returns the keys of live objects stream by stream, each stream's
+// in creation order.
+func (r *Runner) Keys() []string {
+	var out []string
+	for _, s := range r.streams {
+		out = append(out, s.keys...)
+	}
+	return out
 }
 
 // BulkLoad puts fresh objects until live bytes reach occupancy (0..1) of
 // the repository's capacity. The paper's figures start from this state
-// ("storage age 0", §5.3) and both systems append sequentially during it.
+// ("storage age 0", §5.3); with one stream both systems append
+// sequentially during it.
 func (r *Runner) BulkLoad(occupancy float64) (Result, error) {
 	return r.BulkLoadBytes(int64(occupancy * float64(r.Repo().CapacityBytes())))
 }
 
 // BulkLoadBytes puts fresh objects until live bytes reach targetBytes.
+// With k > 1 the streams race for one byte budget, so appends
+// interleave from the first load. On a sharded store an unlucky shard
+// can fill early; the resulting ErrNoSpaceLeft is returned (wrapped)
+// for the caller to tolerate, with the other streams' work intact.
 func (r *Runner) BulkLoadBytes(targetBytes int64) (Result, error) {
 	budget := NewByteBudget(targetBytes)
 	budget.Reserve(r.Repo().LiveBytes())
-	src := &LoadSource{
-		Dist:   r.dist,
-		Budget: budget,
-		Key: func() string {
-			key := fmt.Sprintf("obj-%08d", r.nextID)
-			r.nextID++
-			return key
-		},
-		OnCreate: func(key string) { r.keys = append(r.keys, key) },
+	stride := int64(len(r.streams))
+	specs := make([]Stream, len(r.streams))
+	for i, s := range r.streams {
+		specs[i] = Stream{Source: &LoadSource{
+			Dist:   r.dist,
+			Budget: budget,
+			Key: func() string {
+				key := keyName(s.next)
+				s.next += stride
+				return key
+			},
+			OnCreate: func(key string) { s.keys = append(s.keys, key) },
+		}, RNG: s.rng}
 	}
-	rr, err := r.exec.Run([]Stream{{Source: src, RNG: r.rng}}, RunOptions{})
-	res := r.writeResult(rr)
+	rr, err := r.exec.Run(specs, RunOptions{})
+	r.Tracker().ResetBaseline()
+	res := r.result(rr)
 	if err != nil {
 		return res, fmt.Errorf("bulk load after %d objects: %w", res.Ops, err)
 	}
-	r.Tracker().ResetBaseline()
-	res.EndingAge = 0
 	return res, nil
+}
+
+// keyName formats key number n as obj-%08d. It bypasses fmt, whose
+// boxing of n would cost an allocation per created object.
+func keyName(n int64) string {
+	var buf [20]byte
+	d := strconv.AppendInt(buf[:0], n, 10)
+	if pad := 8 - len(d); pad > 0 {
+		return "obj-" + "00000000"[:pad] + string(d)
+	}
+	return "obj-" + string(d)
 }
 
 // ChurnOptions controls a churn phase.
@@ -222,28 +261,38 @@ type ChurnOptions struct {
 
 	// Background, when non-nil, is a maintenance worker (the online
 	// compactor) that gets a CatchUp turn after every churn op; see
-	// Executor.RunWithBackground.
+	// RunOptions.Background.
 	Background Background
 }
 
 // ChurnToAge safe-writes uniformly chosen objects until storage age
-// reaches target. Write throughput over the phase is the Figure 4
-// measurement: "the average write throughput between the bulk load and
-// storage age two read measurements".
+// reaches target, each stream within its own keys. Write throughput over
+// the phase is the Figure 4 measurement: "the average write throughput
+// between the bulk load and storage age two read measurements".
 func (r *Runner) ChurnToAge(target float64, opts ChurnOptions) (Result, error) {
-	if len(r.keys) == 0 {
+	specs := make([]Stream, len(r.streams))
+	loaded := 0
+	for i, s := range r.streams {
+		loaded += len(s.keys)
+		// A stream that got no budget at load time has no keys; its
+		// ChurnSource is exhausted at once and it idles.
+		specs[i] = Stream{
+			Source: &ChurnSource{
+				Keys:          s.keys,
+				Dist:          r.dist,
+				TargetAge:     target,
+				Age:           r.Tracker().Age,
+				ReadsPerWrite: opts.ReadsPerWrite,
+			},
+			RNG:       s.rng,
+			SkipLimit: 4 * len(s.keys),
+		}
+	}
+	if loaded == 0 {
 		return Result{}, fmt.Errorf("workload: churn before bulk load")
 	}
-	src := &ChurnSource{
-		Keys:          r.keys,
-		Dist:          r.dist,
-		TargetAge:     target,
-		Age:           r.Tracker().Age,
-		ReadsPerWrite: opts.ReadsPerWrite,
-	}
-	rr, err := r.exec.RunWithBackground([]Stream{{Source: src, RNG: r.rng, SkipLimit: 4 * len(r.keys)}},
-		RunOptions{TolerateNoSpace: opts.TolerateNoSpace, TrackSkipTime: true}, opts.Background)
-	res := r.writeResult(rr)
+	rr, err := r.exec.Run(specs, RunOptions{TolerateNoSpace: opts.TolerateNoSpace, Background: opts.Background})
+	res := r.result(rr)
 	if err != nil {
 		return res, fmt.Errorf("churn: %w", err)
 	}
@@ -272,19 +321,16 @@ type Popularity interface {
 	Pick(rng *rand.Rand, n int) int
 }
 
-// MeasureReadThroughput reads `samples` uniformly chosen objects and
-// returns the payload throughput in MB/s of virtual time — the paper's
-// primary performance indicator (§5). samples <= 0 is refused with
-// ErrNoSamples.
+// MeasureReadThroughput reads `samples` uniformly chosen live objects
+// and returns the payload throughput in MB/s of virtual time — the
+// paper's primary performance indicator (§5). The reads draw on the
+// first stream's RNG. samples <= 0 is refused with ErrNoSamples.
 func (r *Runner) MeasureReadThroughput(samples int) (Result, error) {
-	return r.MeasureRead(samples, ReadOptions{})
-}
-
-// MeasureRead reads `samples` objects drawn by opts.Popularity
-// (uniform when nil) and returns the payload throughput in MB/s of
-// virtual time.
-func (r *Runner) MeasureRead(samples int, opts ReadOptions) (Result, error) {
-	res, err := readPhase(r.exec, r.keys, samples, r.rng, opts)
+	var rng *rand.Rand // with no streams there are no keys, and readPhase refuses
+	if len(r.streams) > 0 {
+		rng = r.streams[0].rng
+	}
+	res, err := readPhase(r.exec, r.Keys(), samples, rng, ReadOptions{})
 	if err != nil {
 		return res, err
 	}
@@ -293,10 +339,11 @@ func (r *Runner) MeasureRead(samples int, opts ReadOptions) (Result, error) {
 }
 
 // ReadPhase reads `samples` objects drawn from keys by opts.Popularity
-// through s with a private seeded RNG. It is the standalone form of
-// Runner.MeasureRead for measuring the same aged layout through
-// different read paths (e.g. the same store behind several cache
-// capacities) with an identical key sequence per seed.
+// (uniform when nil) through s with a private seeded RNG. It is the
+// standalone form of Runner.MeasureReadThroughput for measuring the
+// same aged layout through different read paths (e.g. the same store
+// behind several cache capacities) with an identical key sequence per
+// seed.
 func ReadPhase(ctx context.Context, s blob.Store, keys []string, samples int,
 	seed int64, opts ReadOptions) (Result, error) {
 	return readPhase(NewExecutor(s).WithContext(ctx).WithCollector(opts.Collector),
@@ -326,54 +373,19 @@ func readPhase(exec *Executor, keys []string, samples int,
 	return res, err
 }
 
-// writeResult converts a single-stream write run into the phase Result
-// the classic Runner reported: Bytes and MBps cover committed payload,
-// with skipped-op time excluded from the throughput mean.
-func (r *Runner) writeResult(rr RunResult) Result {
+// result converts a write run into the phase Result: Bytes and MBps
+// cover committed payload, with skipped-op time (measured only at k=1)
+// excluded from the throughput mean.
+func (r *Runner) result(rr RunResult) Result {
 	total := rr.Total()
-	bytes := total.BytesWritten
 	return Result{
 		Ops:            total.Ops(),
 		Skipped:        total.Skipped,
-		Bytes:          bytes,
+		Bytes:          total.BytesWritten,
 		Seconds:        rr.Seconds,
 		SkippedSeconds: total.SkippedSeconds,
-		MBps:           units.MBps(bytes, rr.Seconds-total.SkippedSeconds),
+		MBps:           units.MBps(total.BytesWritten, rr.Seconds-total.SkippedSeconds),
 		EndingAge:      r.Tracker().Age(),
 		ObjectsAlive:   r.Repo().ObjectCount(),
 	}
-}
-
-// DeleteGroup deletes a contiguous group of n objects starting at a
-// random position — the structured deallocation pattern §3.2 describes
-// ("pictures shared for an event are often uploaded and later deleted as
-// a group"). Used by the photoshare example and extension benches.
-func (r *Runner) DeleteGroup(n int) (Result, error) {
-	w := r.clockWatch()
-	var res Result
-	if len(r.keys) == 0 {
-		return res, fmt.Errorf("workload: delete before bulk load")
-	}
-	if n > len(r.keys) {
-		n = len(r.keys)
-	}
-	start := r.rng.Intn(len(r.keys) - n + 1)
-	for i := 0; i < n; i++ {
-		key := r.keys[start+i]
-		info, err := r.Repo().Stat(r.ctx(), key)
-		if err != nil {
-			return res, err
-		}
-		if err := r.Tracker().Delete(r.ctx(), key); err != nil {
-			return res, err
-		}
-		res.Ops++
-		res.Bytes += info.Size
-	}
-	r.keys = append(r.keys[:start], r.keys[start+n:]...)
-	res.Seconds = w.Seconds()
-	res.MBps = units.MBps(res.Bytes, res.Seconds)
-	res.EndingAge = r.Tracker().Age()
-	res.ObjectsAlive = r.Repo().ObjectCount()
-	return res, nil
 }

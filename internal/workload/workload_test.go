@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,7 +159,7 @@ func TestZipfPopularityReadMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.MeasureRead(50, ReadOptions{Popularity: pop})
+	res, err := ReadPhase(context.Background(), r.Repo(), r.Keys(), 50, 3, ReadOptions{Popularity: pop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,24 +215,11 @@ func TestInterleavedReadsSlowChurn(t *testing.T) {
 	}
 }
 
-func TestDeleteGroup(t *testing.T) {
-	r := NewRunner(newFS(128*units.MB), Constant{Size: 1 * units.MB}, 9)
-	if _, err := r.BulkLoad(0.5); err != nil {
-		t.Fatal(err)
-	}
-	before := r.Repo().ObjectCount()
-	res, err := r.DeleteGroup(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 10 || r.Repo().ObjectCount() != before-10 {
-		t.Fatalf("deleted %d, count %d->%d", res.Ops, before, r.Repo().ObjectCount())
-	}
-	if len(r.Keys()) != before-10 {
-		t.Fatal("key list not maintained")
-	}
-	if r.Tracker().Age() <= 0 {
-		t.Fatal("deletes must advance storage age")
+func TestKeyName(t *testing.T) {
+	for _, n := range []int64{0, 7, 4096, 12345678, 123456789} {
+		if got, want := keyName(n), fmt.Sprintf("obj-%08d", n); got != want {
+			t.Errorf("keyName(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
 
