@@ -498,6 +498,9 @@ type Result struct {
 // shared workload.Executor: k goroutine streams whose appends
 // interleave in allocation order, the §6 regime driven by a real
 // operation log instead of synthetic churn.
+// One slice replays sequentially in the recorded allocation order.
+// Objects must exist before replace/delete/get events reference them
+// (Replace creates when absent, as the safe-write protocol allows).
 func ReplayStreams(ctx context.Context, store blob.Store, streams [][]Op) (Result, error) {
 	sources := make([]*Source, len(streams))
 	for i, ops := range streams {
