@@ -91,12 +91,11 @@ func main() {
 	fmt.Println("\n128M put over 64M shards fails with blob.ErrNoSpaceLeft: objects never span shards")
 
 	// The aggregated snapshot fans per-shard analysis out in parallel:
-	// live/retired bytes, free pool, fragments, occupancy — the stats a
-	// capacity planner watches per volume.
+	// live bytes, free pool, fragments, occupancy — the stats a capacity
+	// planner watches per volume.
 	snap := store.Snapshot()
-	fmt.Printf("\nsnapshot: %d objects, %s live, %s retired, %.2f frags/obj, imbalance (CV) %.2f\n",
-		snap.Objects, units.FormatBytes(snap.LiveBytes),
-		units.FormatBytes(snap.RetiredBytes), snap.MeanFragments, snap.LiveImbalance)
+	fmt.Printf("\nsnapshot: %d objects, %s live, %.2f frags/obj, imbalance (CV) %.2f\n",
+		snap.Objects, units.FormatBytes(snap.LiveBytes), snap.MeanFragments, snap.LiveImbalance)
 	for _, si := range snap.Shards {
 		fmt.Printf("  %s (%.0f%% full, %.0f free objects of 512K)\n",
 			si, si.Occupancy()*100, si.FreePoolObjects(512*units.KB))

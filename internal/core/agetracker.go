@@ -23,8 +23,17 @@ import (
 // Use it by routing all mutations through the tracker. Retired and live
 // byte counts are charged when a streaming writer COMMITS, never at
 // buffer hand-off: an aborted or crashed stream leaves the metric
-// untouched, exactly as it leaves the store untouched. The tracker is
-// safe for concurrent use, like the stores it wraps.
+// untouched, exactly as it leaves the store untouched.
+//
+// Concurrent calls are free of data races, but the counts are exact
+// only while each key has at most one mutator at a time. With two, a
+// Delete's Stat, store delete and size lookup can interleave with a
+// same-key ReplaceWriter's Commit: the delete can then retire the
+// version that commit just published, counting one retirement too many
+// and subtracting the live bytes of a version that is still live. The
+// drivers here keep the contract rather than pay for a per-key lock:
+// the executor's streams each mutate their own keys, and
+// trace.Partition routes all of one key's ops to one stream.
 //
 // The byte counters are plain atomics, so Age — which churn sources
 // poll before every write — is two loads with no lock. The per-key

@@ -128,7 +128,7 @@ func ShardSweep(c Config) ([]*stats.Table, error) {
 				}
 				breakdown.Note("live-byte imbalance (CV) %.2f across %d shards; %s live, %s retired in total",
 					snap.LiveImbalance, len(snap.Shards),
-					units.FormatBytes(snap.LiveBytes), units.FormatBytes(snap.RetiredBytes))
+					units.FormatBytes(snap.LiveBytes), units.FormatBytes(runner.Tracker().RetiredBytes()))
 			}
 		}
 	}

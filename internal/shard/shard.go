@@ -5,7 +5,9 @@
 // or shrinking the shard set moves only ~1/N of the keyspace instead of
 // reshuffling every object, and each child keeps its own simulated
 // drives, allocator, and engine mutex: operations on keys owned by
-// different shards genuinely proceed in parallel.
+// different shards genuinely proceed in parallel. The layer is a pure
+// router: it takes no key lock and keeps no byte ledger of its own, so a
+// 1-shard store measures exactly like its bare child.
 //
 // The paper's Figure 6 makes shard count a first-order performance
 // variable: fragmentation is governed by the size of the free pool a
@@ -52,32 +54,15 @@ var (
 	ErrClockMismatch = errors.New("shard: child stores must share one virtual clock")
 )
 
-// Store implements blob.Store over N child stores. It is safe for
-// concurrent use when its children are: reads go straight to the owning
-// child, while mutations additionally take a shard-level striped key
-// lock for the span of the child call plus the layer's own accounting,
-// so the per-shard retired-byte ledger stays exact under same-key
-// races (shard locks always nest outside child locks, never inside).
+// Store implements blob.Store over N child stores. Every operation goes
+// straight to the key's owning child, so the store is safe for
+// concurrent use when its children are. Retired bytes and storage age
+// are core.AgeTracker's to count, one layer up.
 type Store struct {
 	children []blob.Store
 	ids      []string // stable rendezvous identities, "shard-<i>"
 	clock    *vclock.Clock
 	name     string
-	locks    blob.KeyLocks
-
-	mu      sync.Mutex
-	retired []int64 // bytes of object versions retired, per shard
-	// sizes is the store's own view of each routed key's last committed
-	// size (or a dead entry once deleted). As in core.AgeTracker, dead
-	// entries invalidate the old-size snapshot an in-flight replace took
-	// before a delete, so a version is never retired twice.
-	sizes map[string]sizeEntry
-}
-
-// sizeEntry is one record of Store.sizes.
-type sizeEntry struct {
-	size int64
-	live bool
 }
 
 // New composes children into one sharded store. All children must share
@@ -109,8 +94,6 @@ func New(children ...blob.Store) (*Store, error) {
 		ids:      ids,
 		clock:    children[0].Clock(),
 		name:     fmt.Sprintf("sharded-%d(%s)", len(children), strings.Join(kinds, "+")),
-		retired:  make([]int64, len(children)),
-		sizes:    make(map[string]sizeEntry),
 	}, nil
 }
 
@@ -191,118 +174,23 @@ func (s *Store) Create(ctx context.Context, key string, size int64) (blob.Writer
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	idx := s.ShardFor(key)
-	w, err := s.children[idx].Create(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	return &shardWriter{Writer: w, s: s, idx: idx, key: key, size: size}, nil
+	return s.owner(key).Create(ctx, key, size)
 }
 
-// Replace implements blob.Store. The retired old version is charged to
-// the owning shard's counter when the stream commits.
+// Replace implements blob.Store.
 func (s *Store) Replace(ctx context.Context, key string, size int64) (blob.Writer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	idx := s.ShardFor(key)
-	child := s.children[idx]
-	// The shard lock keeps the old-size snapshot coherent with the
-	// stream open (a delete cannot slip between them).
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	var oldSize int64
-	oldOK := false
-	if info, err := child.Stat(ctx, key); err == nil {
-		oldSize, oldOK = info.Size, true
-	}
-	w, err := child.Replace(ctx, key, size)
-	if err != nil {
-		return nil, err
-	}
-	return &shardWriter{Writer: w, s: s, idx: idx, key: key, size: size,
-		oldSize: oldSize, oldOK: oldOK}, nil
+	return s.owner(key).Replace(ctx, key, size)
 }
 
-// shardWriter charges per-shard retired and committed-size accounting
-// when a stream commits. All stream semantics live in the child's
-// writer.
-type shardWriter struct {
-	blob.Writer
-	s       *Store
-	idx     int
-	key     string
-	size    int64 // declared new size
-	oldSize int64 // size snapshot taken at Replace, for untracked keys
-	oldOK   bool
-	charged bool
-}
-
-// Commit commits the child stream, then retires the replaced version on
-// the owning shard's counter. The shard lock makes publish and
-// accounting one atomic step against same-key deletes and replaces.
-func (w *shardWriter) Commit() error {
-	w.s.locks.Lock(w.key)
-	defer w.s.locks.Unlock(w.key)
-	//fragvet:ignore lockorder the stripe held here belongs to the shard router's own KeyLocks; the child's commit pipeline takes no KeyLocks stripe, so its force never waits on this one
-	if err := w.Writer.Commit(); err != nil {
-		return err
-	}
-	if !w.charged {
-		w.s.commitWrite(w.idx, w.key, w.size, w.oldSize, w.oldOK)
-		w.charged = true
-	}
-	return nil
-}
-
-// commitWrite records one committed create/replace on shard idx. The
-// old size comes from the store's own committed-size map when the key
-// has been routed before; the snapshot only covers keys first written
-// behind the shard layer's back (directly on a child).
-func (s *Store) commitWrite(idx int, key string, size, snapSize int64, snapOK bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var old int64
-	existed := false
-	if e, known := s.sizes[key]; known {
-		old, existed = e.size, e.live
-	} else {
-		old, existed = snapSize, snapOK
-	}
-	if existed {
-		s.retired[idx] += old
-	}
-	s.sizes[key] = sizeEntry{size: size, live: true}
-}
-
-// Delete implements blob.Store, retiring the object's bytes on its
-// shard's counter.
+// Delete implements blob.Store.
 func (s *Store) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	idx := s.ShardFor(key)
-	child := s.children[idx]
-	// The shard lock makes stat, delete, and accounting one atomic step
-	// against same-key commits.
-	s.locks.Lock(key)
-	defer s.locks.Unlock(key)
-	info, err := child.Stat(ctx, key)
-	if err != nil {
-		return err
-	}
-	if err := child.Delete(ctx, key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	old := info.Size
-	if e, known := s.sizes[key]; known && e.live {
-		old = e.size
-	}
-	s.retired[idx] += old
-	s.sizes[key] = sizeEntry{live: false}
-	s.mu.Unlock()
-	return nil
+	return s.owner(key).Delete(ctx, key)
 }
 
 // Stat implements blob.Store.
@@ -376,13 +264,6 @@ func (s *Store) EachObjectTag(fn func(key string, tag uint32)) {
 	for _, c := range s.children {
 		c.EachObjectTag(fn)
 	}
-}
-
-// retiredBytes returns shard i's retired-byte counter.
-func (s *Store) retiredBytes(i int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retired[i]
 }
 
 // CommitStats aggregates the group-commit pipeline counters across every

@@ -5,16 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/frag"
 	"repro/internal/shard"
 	"repro/internal/units"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 // mkSharded builds an n-shard filesystem-backed store with perShard
@@ -173,9 +174,9 @@ func TestOperationsRouteToOwner(t *testing.T) {
 	}
 }
 
-// TestSnapshotAccounting pins the aggregated per-shard stats: live and
-// retired bytes, fragments, occupancy, and totals that match the store's
-// own accounting surface.
+// TestSnapshotAccounting pins the aggregated per-shard stats: live
+// bytes, fragments, occupancy, and totals that match the store's own
+// accounting surface.
 func TestSnapshotAccounting(t *testing.T) {
 	ctx := context.Background()
 	s := mkSharded(t, 4, 64*units.MB)
@@ -187,40 +188,21 @@ func TestSnapshotAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Nothing retired yet.
 	snap := s.Snapshot()
-	if snap.RetiredBytes != 0 {
-		t.Fatalf("RetiredBytes = %d before any churn", snap.RetiredBytes)
-	}
 	if snap.Objects != len(keys) || snap.LiveBytes != int64(len(keys))*objSize {
 		t.Fatalf("snapshot totals: %+v", snap)
 	}
 
-	// Replace retires exactly the old version, on the owning shard.
-	victim := keys[7]
-	owner := s.ShardFor(victim)
-	if err := blob.Replace(ctx, s, victim, objSize/2, nil); err != nil {
+	if err := blob.Replace(ctx, s, keys[7], objSize/2, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Delete retires the current version of another object.
 	gone := keys[13]
-	goneOwner := s.ShardFor(gone)
 	if err := s.Delete(ctx, gone); err != nil {
 		t.Fatal(err)
 	}
 
 	snap = s.Snapshot()
-	wantRetired := int64(objSize + objSize) // one replace + one delete
-	if snap.RetiredBytes != wantRetired {
-		t.Fatalf("RetiredBytes = %d, want %d", snap.RetiredBytes, wantRetired)
-	}
-	perShard := make(map[int]int64)
-	perShard[owner] += objSize
-	perShard[goneOwner] += objSize
 	for _, si := range snap.Shards {
-		if si.RetiredBytes != perShard[si.Index] {
-			t.Fatalf("shard %d retired %d, want %d", si.Index, si.RetiredBytes, perShard[si.Index])
-		}
 		if si.Backend != "filesystem" {
 			t.Fatalf("shard %d backend %q", si.Index, si.Backend)
 		}
@@ -248,13 +230,9 @@ func TestSnapshotAccounting(t *testing.T) {
 	if snap.LiveImbalance < 0 {
 		t.Fatalf("LiveImbalance = %f", snap.LiveImbalance)
 	}
-	// Deleting and replacing again must not double-retire (dead entries
-	// invalidate stale snapshots).
+	// A deleted key can be recreated through the router.
 	if err := blob.Put(ctx, s, gone, objSize, nil); err != nil {
 		t.Fatal(err)
-	}
-	if got := s.Snapshot().RetiredBytes; got != wantRetired {
-		t.Fatalf("recreate after delete retired %d, want %d", got, wantRetired)
 	}
 }
 
@@ -331,62 +309,6 @@ func TestParallelAcrossShards(t *testing.T) {
 	if got := s.ObjectCount(); got != 160 {
 		t.Fatalf("ObjectCount = %d, want 160", got)
 	}
-	if got := s.Snapshot().RetiredBytes; got != 160*128*units.KB {
-		t.Fatalf("RetiredBytes = %d, want %d", got, 160*128*units.KB)
-	}
-}
-
-// TestSameKeyChurnConservation hammers a small key set with concurrent
-// replaces, deletes, and recreates, then checks byte conservation:
-// every committed version's bytes end up either live or retired,
-// exactly once. This is the invariant the shard-level key locks defend
-// — without them a same-key delete/commit race double-retires or loses
-// versions.
-func TestSameKeyChurnConservation(t *testing.T) {
-	ctx := context.Background()
-	s := mkSharded(t, 4, 64*units.MB)
-	keys := []string{"a", "b", "c"}
-	const objSize = 64 * units.KB
-	var committed int64 // bytes of successfully committed versions
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 12; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				key := keys[(g+i)%len(keys)]
-				switch g % 3 {
-				case 0, 1:
-					err := blob.Replace(ctx, s, key, objSize, nil)
-					if err == nil {
-						atomic.AddInt64(&committed, objSize)
-					} else if !errors.Is(err, blob.ErrBusy) {
-						errs <- err
-						return
-					}
-				case 2:
-					if err := s.Delete(ctx, key); err != nil && !errors.Is(err, blob.ErrNotFound) {
-						errs <- err
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	if got := snap.LiveBytes + snap.RetiredBytes; got != atomic.LoadInt64(&committed) {
-		t.Fatalf("conservation violated: live %d + retired %d = %d, committed %d",
-			snap.LiveBytes, snap.RetiredBytes, got, committed)
-	}
-	if snap.LiveBytes != s.LiveBytes() {
-		t.Fatalf("snapshot live %d != store live %d", snap.LiveBytes, s.LiveBytes())
-	}
 }
 
 // TestShardGroupCommitFansOutPerChild pins the parallel commit
@@ -443,5 +365,49 @@ func TestShardGroupCommitFansOutPerChild(t *testing.T) {
 	// The fleet stays usable after Close (commits turn synchronous).
 	if err := blob.Put(ctx, s, "after-close", 512*units.KB, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneShardMeasuresAsItsChild pins that the router adds nothing a
+// measurement can see: the same seeded bulk load and churn on a bare
+// database store and on a 1-shard store over an identically built one
+// report the same throughput, virtual time and fragmentation. The
+// database backend charges row CPU for every metadata lookup, so any
+// extra child call the router made would show up here.
+func TestOneShardMeasuresAsItsChild(t *testing.T) {
+	const capacity = 128 * units.MB
+	dist := workload.Constant{Size: units.RoundUp(capacity/400, 64*units.KB)}
+	measure := func(wrap bool) (workload.Result, float64, float64) {
+		child, err := core.NewDBStore(vclock.New(),
+			blob.WithCapacity(capacity), blob.WithDiskMode(disk.MetadataMode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var store blob.Store = child
+		if wrap {
+			if store, err = shard.New(child); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runner := workload.NewRunner(store, dist, 7)
+		if _, err := runner.BulkLoad(0.5); err != nil {
+			t.Fatal(err)
+		}
+		res, err := runner.ChurnToAge(2, workload.ChurnOptions{TolerateNoSpace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, store.Clock().Seconds(), frag.Analyze(store).MeanFragments()
+	}
+	bare, bareSecs, bareFrags := measure(false)
+	routed, routedSecs, routedFrags := measure(true)
+	if bare.MBps != routed.MBps {
+		t.Errorf("churn MB/s: bare %v, 1 shard %v", bare.MBps, routed.MBps)
+	}
+	if bareSecs != routedSecs {
+		t.Errorf("virtual seconds: bare %v, 1 shard %v", bareSecs, routedSecs)
+	}
+	if bareFrags != routedFrags {
+		t.Errorf("fragments/object: bare %v, 1 shard %v", bareFrags, routedFrags)
 	}
 }

@@ -18,12 +18,9 @@ type ShardInfo struct {
 	ID      string
 	Backend string
 
-	// Objects and LiveBytes count the shard's live population;
-	// RetiredBytes the object versions replaced or deleted through the
-	// sharded store since construction.
-	Objects      int
-	LiveBytes    int64
-	RetiredBytes int64
+	// Objects and LiveBytes count the shard's live population.
+	Objects   int
+	LiveBytes int64
 
 	// FreeBytes and CapacityBytes describe the shard's free pool — the
 	// space one writer on this shard allocates from, the governing
@@ -53,9 +50,9 @@ func (si ShardInfo) FreePoolObjects(objectBytes int64) float64 {
 }
 
 func (si ShardInfo) String() string {
-	return fmt.Sprintf("%s[%s]: %d objects, %s live, %s retired, %s free, %.2f frags/obj",
+	return fmt.Sprintf("%s[%s]: %d objects, %s live, %s free, %.2f frags/obj",
 		si.ID, si.Backend, si.Objects, units.FormatBytes(si.LiveBytes),
-		units.FormatBytes(si.RetiredBytes), units.FormatBytes(si.FreeBytes), si.MeanFragments)
+		units.FormatBytes(si.FreeBytes), si.MeanFragments)
 }
 
 // Snapshot aggregates the per-shard stats behind one value the harness
@@ -67,7 +64,6 @@ type Snapshot struct {
 	// Aggregates over the whole store.
 	Objects       int
 	LiveBytes     int64
-	RetiredBytes  int64
 	FreeBytes     int64
 	CapacityBytes int64
 
@@ -99,7 +95,6 @@ func (s *Store) Snapshot() Snapshot {
 				Backend:       c.Name(),
 				Objects:       c.ObjectCount(),
 				LiveBytes:     c.LiveBytes(),
-				RetiredBytes:  s.retiredBytes(i),
 				FreeBytes:     c.FreeBytes(),
 				CapacityBytes: c.CapacityBytes(),
 				MeanFragments: rep.MeanFragments(),
@@ -113,7 +108,6 @@ func (s *Store) Snapshot() Snapshot {
 	for i, si := range snap.Shards {
 		snap.Objects += si.Objects
 		snap.LiveBytes += si.LiveBytes
-		snap.RetiredBytes += si.RetiredBytes
 		snap.FreeBytes += si.FreeBytes
 		snap.CapacityBytes += si.CapacityBytes
 		totalFragments += si.MeanFragments * float64(si.Objects)
