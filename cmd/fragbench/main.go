@@ -24,12 +24,14 @@
 //	fragbench -obs interleave      # + per-layer virtual-time latency tables
 //	fragbench -report out.json readcache   # + machine-readable JSON run report
 //	fragbench -optrace trace.json compact  # + Chrome trace of retained ops
+//	fragbench -cpuprofile cpu.out fig2     # + CPU profile (go tool pprof cpu.out)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -42,6 +44,18 @@ import (
 )
 
 func main() {
+	// Subcommands peel off before experiment-flag parsing.
+	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
+		runLoadgen(os.Args[2:])
+		return
+	}
+	os.Exit(run())
+}
+
+// run parses the experiment flags, runs the named experiments and returns
+// the process exit code, so its deferred cleanup — stopping the CPU
+// profile — runs on every exit path.
+func run() (code int) {
 	var (
 		list    = flag.Bool("list", false, "list experiments and exit")
 		volume  = flag.String("volume", "", "volume size (e.g. 4G, 40G); default 4G")
@@ -62,6 +76,7 @@ func main() {
 		obsOn   = flag.Bool("obs", false, "instrument store chains: per-op virtual-time latency tables for the interleave/readcache/compact experiments")
 		report  = flag.String("report", "", "write a machine-readable JSON run report (tables + per-phase latency quantiles) to this file; implies -obs")
 		optrace = flag.String("optrace", "", "write retained per-op traces to this file — Chrome trace-event JSON (chrome://tracing / Perfetto), or JSONL when the name ends in .jsonl; implies -obs")
+		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: fragbench [flags] <experiment-id>... | all\n\nflags:\n")
@@ -71,24 +86,37 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %-8s %s (%s)\n", e.ID, e.Title, e.Paper)
 		}
 	}
-	// Subcommands peel off before experiment-flag parsing.
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		runLoadgen(os.Args[2:])
-		return
-	}
-
 	flag.Parse()
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fragbench: cpuprofile: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(os.Stderr, "fragbench: cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "fragbench: cpuprofile: %v\n", err)
+				code = max(code, 1)
+			}
+		}()
+	}
 
 	if *list {
 		for _, e := range harness.Experiments {
 			fmt.Printf("%-8s %s (%s)\n", e.ID, e.Title, e.Paper)
 		}
-		return
+		return 0
 	}
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	cfg := harness.DefaultConfig()
@@ -99,7 +127,7 @@ func main() {
 		v, err := units.ParseBytes(*volume)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fragbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		cfg.VolumeBytes = v
 	}
@@ -126,7 +154,7 @@ func main() {
 			k, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || k < 1 {
 				fmt.Fprintf(os.Stderr, "fragbench: bad -streams value %q\n", part)
-				os.Exit(2)
+				return 2
 			}
 			cfg.StreamCounts = append(cfg.StreamCounts, k)
 		}
@@ -136,7 +164,7 @@ func main() {
 			n, err := units.ParseBytes(strings.TrimSpace(part))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fragbench: bad -cache value %q: %v\n", part, err)
-				os.Exit(2)
+				return 2
 			}
 			cfg.CacheBytes = append(cfg.CacheBytes, n)
 		}
@@ -145,7 +173,7 @@ func main() {
 		ds, err := compact.ParseDutyList(*duty)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fragbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		cfg.DutyCycles = ds
 	}
@@ -153,7 +181,7 @@ func main() {
 		d, err := workload.ParseDist(*dist)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fragbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		cfg.Dist = d
 	}
@@ -181,20 +209,22 @@ func main() {
 	}
 	// writeOutputs flushes the run report and op trace; called on the
 	// normal exit path and before bailing on a failed experiment, so a
-	// partial run still leaves its artifacts behind.
-	writeOutputs := func() {
+	// partial run still leaves its artifacts behind. It reports whether
+	// both were written.
+	writeOutputs := func() bool {
 		if cfg.Report != nil {
 			if err := writeReport(*report, cfg.Report); err != nil {
 				fmt.Fprintf(os.Stderr, "fragbench: %v\n", err)
-				os.Exit(1)
+				return false
 			}
 		}
 		if cfg.Tracer != nil {
 			if err := writeTrace(*optrace, cfg.Tracer); err != nil {
 				fmt.Fprintf(os.Stderr, "fragbench: %v\n", err)
-				os.Exit(1)
+				return false
 			}
 		}
+		return true
 	}
 
 	ids := args
@@ -205,7 +235,7 @@ func main() {
 		exp, ok := harness.ByID(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "fragbench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			return 2
 		}
 		start := time.Now()
 		tables, err := exp.Run(cfg)
@@ -221,7 +251,7 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fragbench: %s: %v\n", id, err)
 			writeOutputs()
-			os.Exit(1)
+			return 1
 		}
 		for _, t := range tables {
 			if *csv {
@@ -234,7 +264,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s finished in %s\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	writeOutputs()
+	if !writeOutputs() {
+		return 1
+	}
+	return 0
 }
 
 // writeReport writes the JSON run report to path.

@@ -1,7 +1,7 @@
 // Package btree implements a generic in-memory B-tree ordered map.
 //
-// It backs the free-extent indexes in package extent and the row and BLOB
-// trees in the database engine. The implementation is a classic B-tree with
+// It backs the free-run indexes in package extent: by offset and by
+// (length, offset). The implementation is a classic B-tree with
 // configurable degree: every node except the root holds between degree-1 and
 // 2*degree-1 keys, and splits/merges keep the tree balanced. Keys are
 // ordered by a user-supplied comparison function so composite keys (such as
@@ -69,21 +69,43 @@ func (m *Map[K, V]) find(n *node[K, V], key K) (int, bool) {
 	return lo, false
 }
 
-// Get returns the value stored under key.
-func (m *Map[K, V]) Get(key K) (V, bool) {
+// lookup returns the entry stored under key, or nil.
+func (m *Map[K, V]) lookup(key K) *item[K, V] {
 	n := m.root
 	for n != nil {
 		i, ok := m.find(n, key)
 		if ok {
-			return n.items[i].val, true
+			return &n.items[i]
 		}
 		if n.leaf() {
 			break
 		}
 		n = n.children[i]
 	}
+	return nil
+}
+
+// Get returns the value stored under key.
+func (m *Map[K, V]) Get(key K) (V, bool) {
+	if it := m.lookup(key); it != nil {
+		return it.val, true
+	}
 	var zero V
 	return zero, false
+}
+
+// Rekey replaces the entry stored under old with (to, val) in place and
+// reports whether old was present. The caller guarantees that to orders
+// exactly where old did — after old's predecessor and before its
+// successor — so the tree needs no restructuring; an order-preserving
+// key change then costs one descent instead of a delete and an insert.
+func (m *Map[K, V]) Rekey(old, to K, val V) bool {
+	it := m.lookup(old)
+	if it == nil {
+		return false
+	}
+	*it = item[K, V]{to, val}
+	return true
 }
 
 // Has reports whether key is present.

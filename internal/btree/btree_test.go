@@ -294,3 +294,41 @@ func TestCompositeKeys(t *testing.T) {
 		t.Fatalf("Ceiling = %+v, want {128 10}", k)
 	}
 }
+
+// TestRekeyInPlace rekeys a key held in a leaf and a separator key held
+// in an inner node to order-preserving values, then checks lookups, the
+// ascending order and the tree's invariants.
+func TestRekeyInPlace(t *testing.T) {
+	m := NewDegree[int, int](2, intLess)
+	for i := 0; i < 200; i++ {
+		m.Put(i*10, i)
+	}
+	if m.root.leaf() {
+		t.Fatal("tree too small to have an inner node")
+	}
+	leafKey := m.minItem(m.root).key
+	sepKey := m.root.items[0].key
+	for _, k := range []int{leafKey, sepKey} {
+		if !m.Rekey(k, k+5, -k) {
+			t.Fatalf("Rekey(%d) reported missing", k)
+		}
+		if m.Has(k) {
+			t.Fatalf("old key %d still present", k)
+		}
+		if v, ok := m.Get(k + 5); !ok || v != -k {
+			t.Fatalf("Get(%d) = %d, %v; want %d", k+5, v, ok, -k)
+		}
+		m.CheckInvariants()
+	}
+	if m.Rekey(7, 8, 0) {
+		t.Fatal("Rekey of a missing key reported present")
+	}
+	if m.Len() != 200 {
+		t.Fatalf("Len = %d, want 200", m.Len())
+	}
+	var keys []int
+	m.Ascend(func(k, _ int) bool { keys = append(keys, k); return true })
+	if !sort.IntsAreSorted(keys) || keys[0] != leafKey+5 {
+		t.Fatalf("ascending keys start %v", keys[:3])
+	}
+}

@@ -62,13 +62,19 @@ func (bp *bufferPool) Access(id PageID) bool {
 	return false
 }
 
-// Invalidate drops a page (when its blob is deleted or rebuilt).
-func (bp *bufferPool) Invalidate(id PageID) {
+// Invalidate drops freed pages (when their blob is deleted or rebuilt),
+// under one lock acquisition for the whole list.
+func (bp *bufferPool) Invalidate(ids []PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if e, ok := bp.entries[id]; ok {
-		bp.unlink(e)
-		delete(bp.entries, id)
+	if len(bp.entries) == 0 {
+		return // churn with no reads yet: nothing cached to drop
+	}
+	for _, id := range ids {
+		if e, ok := bp.entries[id]; ok {
+			bp.unlink(e)
+			delete(bp.entries, id)
+		}
 	}
 }
 

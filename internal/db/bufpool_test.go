@@ -33,7 +33,7 @@ func TestBufferPoolConcurrentReset(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			bp.Invalidate(PageID(i % 16))
+			bp.Invalidate([]PageID{PageID(i % 16)})
 		}
 	}()
 	wg.Wait()

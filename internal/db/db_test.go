@@ -375,7 +375,7 @@ func TestBufferPoolLRU(t *testing.T) {
 	if !bp.Access(3) {
 		t.Fatal("recently used page evicted")
 	}
-	bp.Invalidate(3)
+	bp.Invalidate([]PageID{3})
 	if bp.Access(3) {
 		t.Fatal("invalidated page hit")
 	}

@@ -119,11 +119,11 @@ type Database struct {
 
 	inflight *txn
 
-	// runScratch backs GetRange's page-run coalescing and chunkScratch
-	// writeChunk's page accumulation. The engine is single-threaded, so
-	// one buffer each serves every operation without a fresh alloc;
-	// txnScratch and savedRowScratch likewise back begin's per-op
-	// transaction state.
+	// runScratch backs the page-run coalescing of GetRange and
+	// freePages, and chunkScratch writeChunk's page accumulation. The
+	// engine is single-threaded, so one buffer each serves every
+	// operation without a fresh alloc; txnScratch and savedRowScratch
+	// likewise back begin's per-op transaction state.
 	runScratch      []PageRun
 	chunkScratch    []PageID
 	txnScratch      txn
@@ -287,14 +287,28 @@ func (d *Database) ghostCleanup() {
 	cut := d.opSeq - int64(d.cfg.GhostHorizon)
 	i := 0
 	for ; i < len(d.ghosts) && d.ghosts[i].seq < cut; i++ {
-		for _, p := range d.ghosts[i].pages {
-			d.alloc.FreePage(p)
-			d.pool.Invalidate(p)
-			d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
-		}
+		d.freePages(d.ghosts[i].pages)
 	}
 	if i > 0 {
 		d.ghosts = append(d.ghosts[:0], d.ghosts[i:]...)
+	}
+}
+
+// freePages returns pages to the allocator one at a time in list order —
+// the deallocation queue's order, and so the future layout, depends on
+// it — then drops them from the buffer pool under one lock and untags
+// their clusters one physically contiguous run at a time.
+func (d *Database) freePages(pages []PageID) {
+	for _, p := range pages {
+		d.alloc.FreePage(p)
+	}
+	d.pool.Invalidate(pages)
+	runs := coalescePageRunsInto(d.runScratch[:0], pages)
+	for _, r := range runs {
+		d.data.ClearOwner(d.clusterRun(r))
+	}
+	if runs != nil {
+		d.runScratch = runs
 	}
 }
 
@@ -450,10 +464,7 @@ func (d *Database) write(key string, size int64, data []byte, replace bool) erro
 
 // abort rolls back an in-flight operation.
 func (d *Database) abort(t *txn) {
-	for _, p := range t.allocated {
-		d.alloc.FreePage(p)
-		d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
-	}
+	d.freePages(t.allocated)
 	if t.hadRow {
 		saved := *t.savedRow
 		d.rows[t.key] = &saved

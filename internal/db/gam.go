@@ -3,12 +3,13 @@ package db
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/btree"
 )
 
-// Allocator is the GAM/PFS analog: a bitmap of extents plus per-extent
-// free-page masks. The allocation policy is a roving-cursor (next-fit)
+// Allocator is the GAM/PFS analog: a bitmap of wholly free extents plus,
+// as in SQL Server's PFS pages, a dense array of per-extent free-page
+// masks. A second bitmap marks the extents whose mask is non-zero, so
+// finding the next partial extent is the same word scan as finding the
+// next free one. The allocation policy is a roving-cursor (next-fit)
 // scan: like a real engine, the GAM scan resumes where the previous one
 // left off rather than rescanning from the start of the file, filling
 // partially used extents encountered ahead of the cursor before
@@ -23,11 +24,15 @@ import (
 type Allocator struct {
 	extents int64
 
-	// gam[i] is set when extent i is wholly free (GAM bit).
+	// gam bit e is set when extent e is wholly free (GAM bit).
 	gam []uint64
-	// pfs maps allocated extent id -> bitmask of free pages within it,
-	// ordered so cursor-relative lookups are one tree operation.
-	pfs *btree.Map[int64, uint8]
+	// pfs[e] is the bitmask of free pages within allocated extent e; it
+	// is 0 for a full extent and for a wholly free one (GAM-free or
+	// queued for reuse). partial bit e is set iff pfs[e] != 0, and
+	// partials counts those bits.
+	pfs      []uint8
+	partial  []uint64
+	partials int
 	// cursor is the extent where the next scan begins.
 	cursor int64
 
@@ -69,7 +74,8 @@ func NewAllocator(extents int64) *Allocator {
 	a := &Allocator{
 		extents:   extents,
 		gam:       make([]uint64, (extents+63)/64),
-		pfs:       btree.New[int64, uint8](func(x, y int64) bool { return x < y }),
+		pfs:       make([]uint8, extents),
+		partial:   make([]uint64, (extents+63)/64),
 		mixed:     -1,
 		freePages: extents * PagesPerExtent,
 	}
@@ -89,6 +95,21 @@ func (a *Allocator) gamGet(e int64) bool { return a.gam[e/64]&(1<<uint(e%64)) !=
 func (a *Allocator) gamClear(e int64)    { a.gam[e/64] &^= 1 << uint(e%64) }
 func (a *Allocator) gamSet(e int64)      { a.gam[e/64] |= 1 << uint(e%64) }
 
+// setPFS stores extent e's free-page mask, keeping the partial bitmap and
+// count in step with it.
+func (a *Allocator) setPFS(e int64, mask uint8) {
+	was := a.pfs[e] != 0
+	a.pfs[e] = mask
+	if is := mask != 0; is != was {
+		a.partial[e/64] ^= 1 << uint(e%64)
+		if is {
+			a.partials++
+		} else {
+			a.partials--
+		}
+	}
+}
+
 // nextFreeExtent returns the next wholly-free extent: the head of the
 // deallocation cache when one exists, otherwise the first GAM extent at
 // or after the cursor (wrapping once); -1 when none exists. The returned
@@ -98,10 +119,7 @@ func (a *Allocator) nextFreeExtent() int64 {
 	if a.reuseHead < len(a.reuse) {
 		return a.reuse[a.reuseHead]
 	}
-	if e := a.scanGAMFrom(a.cursor); e != -1 {
-		return e
-	}
-	return a.scanGAMFrom(0)
+	return a.scanWrap(a.gam)
 }
 
 // takeFreeExtent claims extent e returned by nextFreeExtent.
@@ -118,14 +136,25 @@ func (a *Allocator) takeFreeExtent(e int64) {
 	a.cursor = (e + 1) % a.extents
 }
 
-// scanGAMFrom returns the first free extent >= from, or -1.
-func (a *Allocator) scanGAMFrom(from int64) int64 {
+// scanWrap returns the first extent whose bit is set in bitmap (the GAM
+// or the partial-extent map) at or after the cursor, wrapping around
+// once; -1 when none is set.
+func (a *Allocator) scanWrap(bitmap []uint64) int64 {
+	if e := a.scanFrom(bitmap, a.cursor); e != -1 {
+		return e
+	}
+	return a.scanFrom(bitmap, 0)
+}
+
+// scanFrom returns the first extent >= from whose bit is set in bitmap,
+// or -1.
+func (a *Allocator) scanFrom(bitmap []uint64, from int64) int64 {
 	if from >= a.extents {
 		return -1
 	}
 	w := from / 64
 	// Mask off bits below `from` in the first word.
-	word := a.gam[w] &^ ((1 << uint(from%64)) - 1)
+	word := bitmap[w] &^ ((1 << uint(from%64)) - 1)
 	for {
 		if word != 0 {
 			e := w*64 + int64(bits.TrailingZeros64(word))
@@ -135,29 +164,11 @@ func (a *Allocator) scanGAMFrom(from int64) int64 {
 			return e
 		}
 		w++
-		if w >= int64(len(a.gam)) {
+		if w >= int64(len(bitmap)) {
 			return -1
 		}
-		word = a.gam[w]
+		word = bitmap[w]
 	}
-}
-
-// nextPartialExtent returns the first extent with PFS-free pages at or
-// after the cursor, wrapping around once; -1 when none exists.
-func (a *Allocator) nextPartialExtent() int64 {
-	found := int64(-1)
-	a.pfs.AscendFrom(a.cursor, func(e int64, _ uint8) bool {
-		found = e
-		return false
-	})
-	if found != -1 {
-		return found
-	}
-	e, _, ok := a.pfs.Min()
-	if !ok {
-		return -1
-	}
-	return e
 }
 
 // AllocPages allocates n pages page-granularly, from the mixed-extent
@@ -183,7 +194,7 @@ func (a *Allocator) AllocPages(n int64) ([]PageRun, bool) {
 	for remaining > 0 {
 		// Drain the current mixed extent.
 		if a.mixed >= 0 {
-			if mask, ok := a.pfs.Get(a.mixed); ok && mask != 0 {
+			if mask := a.pfs[a.mixed]; mask != 0 {
 				e := a.mixed
 				for mask != 0 && remaining > 0 {
 					p := bits.TrailingZeros8(mask)
@@ -192,23 +203,19 @@ func (a *Allocator) AllocPages(n int64) ([]PageRun, bool) {
 					remaining--
 					a.freePages--
 				}
-				if mask == 0 {
-					a.pfs.Delete(e)
-				} else {
-					a.pfs.Put(e, mask)
-				}
+				a.setPFS(e, mask)
 				continue
 			}
 		}
 		// Refill the pool from the deallocation cache / GAM scan.
 		if e := a.nextFreeExtent(); e != -1 {
 			a.takeFreeExtent(e)
-			a.pfs.Put(e, 0xFF)
+			a.setPFS(e, 0xFF)
 			a.mixed = e
 			continue
 		}
 		// Space pressure: raid the nearest partial extent.
-		pe := a.nextPartialExtent()
+		pe := a.scanWrap(a.partial)
 		if pe == -1 {
 			panic("db: free-page accounting out of sync")
 		}
@@ -278,17 +285,17 @@ func (a *Allocator) FreePage(p PageID) {
 	if a.gamGet(e) {
 		panic(fmt.Sprintf("db: double free of page %d (extent already free)", p))
 	}
-	mask, _ := a.pfs.Get(e)
+	mask := a.pfs[e]
 	if mask&bit != 0 {
 		panic(fmt.Sprintf("db: double free of page %d", p))
 	}
 	mask |= bit
 	a.freePages++
 	if mask == 0xFF {
-		a.pfs.Delete(e)
+		a.setPFS(e, 0)
 		a.reuse = append(a.reuse, e)
 	} else {
-		a.pfs.Put(e, mask)
+		a.setPFS(e, mask)
 	}
 }
 
@@ -303,7 +310,7 @@ func (a *Allocator) FreeRuns(runs []PageRun) {
 
 // PartialExtents reports how many extents are partially used — a measure
 // of page-level free-space scatter for the layout tool.
-func (a *Allocator) PartialExtents() int { return a.pfs.Len() }
+func (a *Allocator) PartialExtents() int { return a.partials }
 
 // ReuseQueueLen reports the number of extents waiting in the
 // deallocation cache.
@@ -334,20 +341,31 @@ func (a *Allocator) CheckInvariants() {
 		if a.gamGet(e) {
 			panic(fmt.Sprintf("db: extent %d both queued and GAM-free", e))
 		}
-		if a.pfs.Has(e) {
+		if a.pfs[e] != 0 {
 			panic(fmt.Sprintf("db: extent %d both queued and partial", e))
 		}
 	}
 	count := int64(len(queued)) * PagesPerExtent
+	partials := 0
 	for e := int64(0); e < a.extents; e++ {
+		mask := a.pfs[e]
+		if (mask != 0) != (a.partial[e/64]&(1<<uint(e%64)) != 0) {
+			panic(fmt.Sprintf("db: extent %d partial bit disagrees with mask %#x", e, mask))
+		}
+		if mask != 0 {
+			partials++
+		}
 		if a.gamGet(e) {
-			if a.pfs.Has(e) {
+			if mask != 0 {
 				panic(fmt.Sprintf("db: extent %d both free and partial", e))
 			}
 			count += PagesPerExtent
-		} else if mask, ok := a.pfs.Get(e); ok {
+		} else {
 			count += int64(bits.OnesCount8(mask))
 		}
+	}
+	if partials != a.partials {
+		panic(fmt.Sprintf("db: partial count %d != %d marked extents", a.partials, partials))
 	}
 	if count != a.freePages {
 		panic(fmt.Sprintf("db: freePages %d != bitmap+queue sum %d", a.freePages, count))

@@ -42,21 +42,11 @@ func (d *Database) Rebuild() RebuildReport {
 	d.FlushGhosts()
 	for _, k := range keys {
 		r := d.rows[k]
-		for _, p := range r.pages {
-			d.alloc.FreePage(p)
-			d.pool.Invalidate(p)
-			d.data.ClearOwner(d.clusterRun(PageRun{Start: p, Len: 1}))
-		}
-		for _, p := range r.nodes {
-			d.alloc.FreePage(p)
-			d.pool.Invalidate(p)
-		}
+		d.freePages(r.pages)
+		d.freePages(r.nodes)
 	}
 	// The old table's heap pages go with the drop too.
-	for _, p := range d.rowPages {
-		d.alloc.FreePage(p)
-		d.pool.Invalidate(p)
-	}
+	d.freePages(d.rowPages)
 	d.rowPages = d.rowPages[:0]
 	d.rowPageSlots = 0
 	// The new filegroup starts clean: reset the scan cursor and drain the

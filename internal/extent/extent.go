@@ -151,14 +151,21 @@ func (f *FreeIndex) Reserve(r Run) bool {
 	if r.Start < host.Start || r.End() > host.End() {
 		return false
 	}
-	f.remove(host)
-	if host.Start < r.Start {
-		f.insert(Run{Start: host.Start, Len: r.Start - host.Start})
+	f.carve(host, r)
+	return true
+}
+
+// carve removes r from host, the tracked free run containing it.
+func (f *FreeIndex) carve(host, r Run) {
+	if r.Start == host.Start {
+		f.takePrefix(host, r.Len)
+		return
 	}
+	f.remove(host)
+	f.insert(Run{Start: host.Start, Len: r.Start - host.Start})
 	if r.End() < host.End() {
 		f.insert(Run{Start: r.End(), Len: host.End() - r.End()})
 	}
-	return true
 }
 
 // IsFree reports whether the entire run r is currently free.
@@ -298,24 +305,32 @@ func (f *FreeIndex) ExtendAt(start, n int64) (Run, bool) {
 	if !host.Contains(start) {
 		return Run{}, false
 	}
-	avail := host.End() - start
-	take := min(n, avail)
-	r := Run{Start: start, Len: take}
-	if !f.Reserve(r) {
-		panic("extent: ExtendAt reserve failed after check")
-	}
+	r := Run{Start: start, Len: min(n, host.End()-start)}
+	f.carve(host, r)
 	return r, true
 }
 
-// takePrefix removes the first n clusters of tracked run got.
+// takePrefix removes the first n clusters of tracked run got. The
+// remainder keeps got's place in offset order — no free run lies inside
+// got — so its by-offset entry is rekeyed in place; only the by-size
+// entry moves.
 func (f *FreeIndex) takePrefix(got Run, n int64) {
 	if n > got.Len {
 		panic(fmt.Sprintf("extent: takePrefix %d from %v", n, got))
 	}
-	f.remove(got)
-	if n < got.Len {
-		f.insert(Run{Start: got.Start + n, Len: got.Len - n})
+	if n == got.Len {
+		f.remove(got)
+		return
 	}
+	rest := Run{Start: got.Start + n, Len: got.Len - n}
+	if !f.byOffset.Rekey(got.Start, rest.Start, rest.Len) {
+		panic(fmt.Sprintf("extent: takePrefix of untracked run %v", got))
+	}
+	if !f.bySize.Delete(sizeKey{got.Len, got.Start}) {
+		panic(fmt.Sprintf("extent: size index missing run %v", got))
+	}
+	f.bySize.Put(sizeKey{rest.Len, rest.Start}, struct{}{})
+	f.free -= n
 }
 
 // Runs returns all free runs in offset order. Intended for tools and tests.
